@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from genspace import ExactDistribution, GenericSpace, JointDistribution
+from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution
 
 
 def random_composition(rng, total, parts):
@@ -92,3 +92,30 @@ def gram_schmidt_basis(rng, dim):
         if norm > 1e-6:
             basis.append(v / norm)
     return np.vstack(basis)
+
+
+def reference_decode(code, bits):
+    """Bit-by-bit decoder: the oracle for the table-driven `genspace.decode`.
+
+    Grows the current prefix one bit at a time and emits a symbol as soon as
+    the prefix is a codeword; raises DecodeError with the same messages.
+    """
+    if set(bits) - {"0", "1"}:
+        raise DecodeError("stream contains characters other than 0 and 1")
+    table = {w: i for i, w in enumerate(code.codewords) if w}
+    if not table and bits:
+        raise DecodeError("zero-length codeword is not uniquely decodable")
+    max_len = max((len(w) for w in code.codewords), default=0)
+    out = []
+    current = ""
+    for bit in bits:
+        current += bit
+        symbol = table.get(current)
+        if symbol is not None:
+            out.append(symbol)
+            current = ""
+        elif len(current) >= max_len:
+            raise DecodeError(f"bits {current!r} match no codeword")
+    if current:
+        raise DecodeError(f"incomplete codeword {current!r} at end of stream")
+    return out

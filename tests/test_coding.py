@@ -1,8 +1,9 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genspace import (
@@ -21,8 +22,13 @@ from genspace import (
     shannon_entropy,
     unframe_bits,
 )
-from genspace.coding import format_code_table, parse_code_table
-from helpers import random_distribution, random_dyadic_space
+from genspace.coding import (
+    _canonical_codewords,
+    _ceil_log2_ratio,
+    format_code_table,
+    parse_code_table,
+)
+from helpers import random_distribution, random_dyadic_space, reference_decode
 
 F = Fraction
 
@@ -73,6 +79,13 @@ class TestEncodeDecode:
     def test_encode_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             encode(DYADIC_CODE, [4])
+
+    @pytest.mark.parametrize(
+        "symbols, bad", [([0, -1], -1), ([1, 5, -1, 9], 5), ([-2, 7], -2)]
+    )
+    def test_encode_names_first_bad_symbol(self, symbols, bad):
+        with pytest.raises(ValueError, match=f"symbol index {bad} out of range"):
+            encode(DYADIC_CODE, symbols)
 
     def test_decode_example(self):
         assert decode(DYADIC_CODE, "0100111") == [0, 1, 0, 3]
@@ -198,6 +211,144 @@ def test_decode_inverts_encode_on_random_dyadic_codes():
         assert decode(code, encode(code, symbols)) == symbols
 
 
+@st.composite
+def prefix_codes(draw):
+    """Random prefix-free codes of every kind the decoder must handle.
+
+    Grown from the one-symbol code ("",): a codeword is replaced by the
+    leaf at the end of a random path of up to 40 bits below it, plus the
+    sibling of every node on that path, which keeps the code complete and
+    makes codewords longer than the decoder's root window.  Dropping
+    codewords then makes it incomplete.  The words are used as drawn
+    (non-canonical), reassigned canonically, or round-tripped through a
+    code table file.
+    """
+    words = [""]
+    for _ in range(draw(st.integers(0, 10))):
+        word = words.pop(draw(st.integers(0, len(words) - 1)))
+        path = draw(st.text("01", min_size=1, max_size=40))
+        words += [word + path[:j] + "10"[int(path[j])] for j in range(len(path))]
+        words.append(word + path)
+    if len(words) > 1 and draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+        words = [w for w, k in zip(words, keep) if k] or words[:1]
+    words = tuple(draw(st.permutations(words)))
+    form = draw(st.sampled_from(["drawn", "canonical", "table"]))
+    if form == "canonical":
+        words = _canonical_codewords([len(w) for w in words])
+    code = PrefixCode(words, mode="fallback")
+    if form == "table" or code.kraft_sum() == 1:
+        code = parse_code_table(format_code_table(code))
+    return code
+
+
+@st.composite
+def bit_streams(draw, code):
+    """A valid stream for `code`, or one truncated, corrupted or random."""
+    symbols = draw(st.lists(st.integers(0, code.size - 1), max_size=30))
+    bits = encode(code, symbols)
+    change = draw(
+        st.sampled_from(["none", "truncate", "flip", "append", "random", "non-bit"])
+    )
+    if change == "truncate" and bits:
+        bits = bits[: draw(st.integers(0, len(bits) - 1))]
+    elif change == "flip" and bits:
+        i = draw(st.integers(0, len(bits) - 1))
+        bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+    elif change == "append":
+        bits += draw(st.text("01", min_size=1, max_size=45))
+    elif change == "random":
+        bits = draw(st.text("01", max_size=300))
+    elif change == "non-bit":
+        i = draw(st.integers(0, len(bits)))
+        bits = bits[:i] + draw(st.sampled_from(["2", " ", "_", "x"])) + bits[i:]
+    return bits
+
+
+def _decode_outcome(decoder, code, bits):
+    try:
+        return decoder(code, bits)
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+@given(prefix_codes(), st.data())
+def test_decode_matches_bit_by_bit_reference(code, data):
+    bits = data.draw(bit_streams(code))
+    assert _decode_outcome(decode, code, bits) == _decode_outcome(
+        reference_decode, code, bits
+    )
+
+
+class TestDecodeAgainstReference:
+    """Fixed cases for the table decoder's edges, checked against the oracle."""
+
+    LONG = PrefixCode(("0", "10", "11" + "0" * 38, "11" + "1" * 38), mode="fallback")
+
+    @pytest.mark.parametrize(
+        "code, bits",
+        [
+            # Window of the final codeword runs past the end of the stream.
+            (DYADIC_CODE, "011"),
+            (PrefixCode(("0", "10", "110"), mode="fallback"), "011"),
+            (PrefixCode(("0", "10", "110"), mode="fallback"), "0111"),
+            # Codewords longer than the root table's window.
+            (LONG, "0" + "11" + "1" * 38 + "10" + "11" + "0" * 38),
+            (LONG, "0" + "11" + "0" * 20),
+            (LONG, "10" + "11" + "0" * 37 + "1"),
+            (LONG, "11" + "01" * 19),
+            # One-symbol codes.
+            (PrefixCode(("",), mode="exact"), ""),
+            (PrefixCode(("",), mode="exact"), "0"),
+            (PrefixCode(("",), mode="exact"), "x"),
+            (PrefixCode(("01",), mode="fallback"), "0101"),
+            (PrefixCode(("01",), mode="fallback"), "010"),
+            # A non-bit character after a decoding error still wins.
+            (DYADIC_CODE, "11x"),
+        ],
+    )
+    def test_matches_reference(self, code, bits):
+        assert _decode_outcome(decode, code, bits) == _decode_outcome(
+            reference_decode, code, bits
+        )
+
+    def test_long_codewords_round_trip(self):
+        symbols = [2, 0, 3, 1, 1, 2, 3, 0]
+        assert decode(self.LONG, encode(self.LONG, symbols)) == symbols
+
+    def test_large_alphabet_with_long_and_missing_codewords(self):
+        # 2047 codewords, all longer than the 10-bit root window: 2046 of
+        # 11 bits and one of 31 bits; codeword 00000000101 is missing.
+        words = [format(i, "011b") for i in range(2048) if i != 5]
+        words[-1] += "0" * 20
+        code = PrefixCode(tuple(words), mode="fallback")
+        symbols = [0, 2046, 1000, 5, 2046, 2045]
+        bits = encode(code, symbols)
+        assert decode(code, bits) == symbols
+        missing = "00000000101"
+        for stream in (bits[:-3], bits + missing, missing + bits, bits[:-20] + "1"):
+            assert _decode_outcome(decode, code, stream) == _decode_outcome(
+                reference_decode, code, stream
+            )
+
+    def test_non_canonical_table(self):
+        code = parse_code_table("0\t11\n1\t0\n2\t101\n3\t100\n")
+        assert decode(code, "110101100") == [0, 1, 2, 3]
+
+
+@given(st.integers(1, 2**4096) | st.integers(0, 4096).map(lambda k: 2**k), st.data())
+def test_ceil_log2_ratio_matches_shift_loop(numerator, data):
+    denominator = data.draw(
+        st.integers(1, 2**4096)
+        | st.integers(0, 4096).map(lambda k: 2**k)
+        | st.sampled_from([numerator, numerator + 1, max(numerator - 1, 1)])
+    )
+    length = 0
+    while (denominator << length) < numerator:
+        length += 1
+    assert _ceil_log2_ratio(numerator, denominator) == length
+
+
 class TestPrefixCodeValidation:
     def test_rejects_prefix_collision(self):
         with pytest.raises(ValueError, match="prefix"):
@@ -251,6 +402,79 @@ class TestFraming:
         blob[-1] |= 0b00000001
         with pytest.raises(DecodeError, match="padding"):
             unframe_bits(bytes(blob))
+
+
+@given(st.text("01", max_size=300))
+def test_frame_round_trips_every_bitstring(bits):
+    blob = frame_bits(bits)
+    assert len(blob) == 12 + (len(bits) + 7) // 8
+    assert unframe_bits(blob) == bits
+
+
+@given(st.text("01"), st.characters().filter(lambda c: c not in "01"), st.text("01"))
+@example("", " ", "01")  # int(..., 2) would accept whitespace, "_", signs
+@example("0", "_", "1")
+@example("", "+", "1")
+@example("", "-", "1")
+@example("1", "\u0661", "")  # ARABIC-INDIC DIGIT ONE, a digit to int()
+def test_frame_rejects_non_bit_characters(head, bad, tail):
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        frame_bits(head + bad + tail)
+
+
+@given(st.binary(max_size=40))
+@example(b"GSC1" + bytes(8))
+def test_unframe_arbitrary_bytes(blob):
+    try:
+        bits = unframe_bits(blob)
+    except DecodeError:
+        return
+    assert frame_bits(bits) == blob
+
+
+@given(st.binary(max_size=40), st.data())
+def test_unframe_valid_header_arbitrary_payload(payload, data):
+    bit_count = data.draw(
+        st.integers(max(0, 8 * len(payload) - 9), 8 * len(payload) + 9)
+        | st.integers(0, 2**64 - 1)
+    )
+    blob = b"GSC1" + struct.pack("<Q", bit_count) + payload
+    try:
+        bits = unframe_bits(blob)
+    except DecodeError:
+        return
+    assert len(bits) == bit_count
+    assert frame_bits(bits) == blob
+
+
+class TestGoldenStream:
+    """GSC1 bytes pinned by hand: any change to encode/frame shows here."""
+
+    FALLBACK_CODE = build_generic_code(GenericSpace(7, (3, 2, 1, 1)))
+
+    CASES = [
+        # (code, symbols, bit count, framed stream as hex)
+        (DYADIC_CODE, [0, 1, 0, 3], 7, "4753433107000000000000004e"),
+        (DYADIC_CODE, [3, 3, 1], 8, "475343310800000000000000fe"),
+        (DYADIC_CODE, [2, 3, 2, 3, 0, 0, 0, 0], 16, "475343311000000000000000df70"),
+        (DYADIC_CODE, [], 0, "475343310000000000000000"),
+        (FALLBACK_CODE, [1, 2, 3], 8, "47534331080000000000000065"),
+        (FALLBACK_CODE, [2, 3, 0, 1, 0, 0], 14, "475343310e000000000000009440"),
+        (FALLBACK_CODE, [0, 1, 2, 3, 3, 2, 1], 18, "475343311200000000000000196c40"),
+        (FALLBACK_CODE, [], 0, "475343310000000000000000"),
+    ]
+
+    def test_codes(self):
+        assert self.FALLBACK_CODE.mode == "fallback"
+        assert self.FALLBACK_CODE.codewords == ("00", "01", "100", "101")
+
+    @pytest.mark.parametrize("code, symbols, bit_count, blob_hex", CASES)
+    def test_bytes_and_round_trip(self, code, symbols, bit_count, blob_hex):
+        bits = encode(code, symbols)
+        assert len(bits) == bit_count
+        blob = frame_bits(bits)
+        assert blob == bytes.fromhex(blob_hex)
+        assert decode(code, unframe_bits(blob)) == symbols
 
 
 class TestCodeTable:
