@@ -5,21 +5,13 @@ minimal uniform "generic space", and builds on that construction:
 combinatorial-volume entropy identities, effective dimension, optimal
 prefix coding in the dyadic case, a geometric (Born-rule) probability
 model, and elementary information-inequality checks.
+
+The Born-rule names (and ``genspace.born``) load on first use, so that
+``import genspace`` and the CLI do not import numpy.
 """
 
-from .born import (
-    DensityMatrix,
-    DensityValidation,
-    JspsVector,
-    MeasurementSet,
-    born_probability,
-    collapse_jsps,
-    jacobi_eigenvalues,
-    jsps_from_distribution,
-    measure,
-    sample,
-    validate_density,
-)
+import importlib
+
 from .coding import (
     CodeStats,
     DecodeError,
@@ -67,6 +59,20 @@ from .joint import (
 
 __version__ = "0.1.0"
 
+# Resolved from genspace.born by __getattr__ (PEP 562) on first access.
+_BORN_NAMES = (
+    "JspsVector",
+    "DensityMatrix",
+    "DensityValidation",
+    "MeasurementSet",
+    "jsps_from_distribution",
+    "collapse_jsps",
+    "born_probability",
+    "measure",
+    "validate_density",
+    "sample",
+)
+
 __all__ = [
     "ExactDistribution",
     "GenericSpace",
@@ -86,17 +92,7 @@ __all__ = [
     "projection_ratio",
     "projection_entropy",
     "entropy_suite",
-    "JspsVector",
-    "DensityMatrix",
-    "DensityValidation",
-    "MeasurementSet",
-    "jsps_from_distribution",
-    "collapse_jsps",
-    "born_probability",
-    "measure",
-    "validate_density",
-    "jacobi_eigenvalues",
-    "sample",
+    *_BORN_NAMES,
     "PrefixCode",
     "CodeStats",
     "DecodeError",
@@ -116,3 +112,16 @@ __all__ = [
     "mutual_information",
     "check_inequalities",
 ]
+
+
+def __getattr__(name: str):
+    if name == "born" or name in _BORN_NAMES:
+        # import_module, not `from . import born`: the latter asks this
+        # package for `born` and so would re-enter __getattr__.
+        born = importlib.import_module(".born", __name__)
+        return born if name == "born" else getattr(born, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_BORN_NAMES, "born"})

@@ -11,8 +11,9 @@ Density matrices generalize this to mixed states: a symmetric positive
 semidefinite matrix with unit trace, measured by operators m_z that sum
 to the identity, yields outcome probabilities trace(rho @ m_z).
 
-Everything works in real arithmetic; validation uses the module's own
-cyclic Jacobi eigensolver rather than an external decomposition.
+Everything works in real arithmetic.  Validation refuses non-finite
+entries and takes eigenvalues from LAPACK (``np.linalg.eigvalsh``); the
+tests keep a cyclic Jacobi eigensolver as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "born_probability",
     "measure",
     "validate_density",
-    "jacobi_eigenvalues",
     "sample",
     "parse_matrix",
     "format_matrix",
@@ -46,7 +46,6 @@ SYMMETRY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 COMPLETENESS_TOL = 1e-10
-MAX_EIGEN_DIM = 64
 
 
 class JspsVector:
@@ -114,65 +113,11 @@ def born_probability(psi: JspsVector, outcome: JspsVector) -> float:
     return float(np.dot(outcome.components, psi.components)) ** 2
 
 
-def jacobi_eigenvalues(
-    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-cyclically over the upper triangle, annihilating each
-    off-diagonal entry with a plane rotation, until the off-diagonal
-    Frobenius norm drops to `tol`.  Ascending-sorted eigenvalues.
-
-    Intended for desk-scale validation; dimensions above 64 are refused.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise ValueError(f"eigensolver supports dimensions <= {MAX_EIGEN_DIM}, got {n}")
-    if np.max(np.abs(a - a.T), initial=0.0) > 1e-8:
-        raise ValueError("eigensolver requires a symmetric matrix")
-    if n == 1:
-        return a.diagonal().copy()
-
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm() -> float:
-        # Summed directly over the off-diagonal entries; subtracting the
-        # diagonal from the full norm would cancel catastrophically here.
-        return math.sqrt(float(np.sum(a[off_mask] ** 2)))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= tol:
-            return np.sort(a.diagonal().copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                # Rotation with |angle| <= pi/4 (tan = t), which keeps the
-                # cyclic sweep monotonically convergent; hypot avoids
-                # overflow when the diagonal gap dwarfs the entry.
-                tau = float(a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.hypot(tau, 1.0))
-                else:
-                    t = -1.0 / (-tau + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    if off_norm() <= tol:
-        return np.sort(a.diagonal().copy())
-    raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Refuse NaN and inf: every tolerance comparison against NaN is False."""
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{what} entry ({i}, {j}) is {a[i, j]}; entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -204,15 +149,17 @@ class DensityValidation:
 def validate_density(matrix: np.ndarray) -> DensityValidation:
     """Check symmetry, unit trace, and positive semidefiniteness.
 
-    Eigenvalues come from :func:`jacobi_eigenvalues` applied to the
-    symmetric part; a floor of -1e-10 absorbs rounding in user input.
+    Eigenvalues (ascending) come from ``np.linalg.eigvalsh`` applied to
+    the symmetric part; a floor of -1e-10 absorbs rounding in user input.
+    Non-finite entries raise ValueError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a, "matrix")
     symmetry_defect = float(np.max(np.abs(a - a.T), initial=0.0))
     trace_defect = float(abs(np.trace(a) - 1.0))
-    eigenvalues = jacobi_eigenvalues((a + a.T) / 2.0)
+    eigenvalues = np.linalg.eigvalsh((a + a.T) / 2.0)
     return DensityValidation(
         symmetry_defect=symmetry_defect,
         trace_defect=trace_defect,
@@ -261,9 +208,10 @@ class MeasurementSet:
                 raise ValueError("measurement operators must be square and equally sized")
         if not _validated:
             for i, op in enumerate(ops):
+                _require_finite(op, f"operator {i}")
                 if np.max(np.abs(op - op.T)) > SYMMETRY_TOL:
                     raise ValueError(f"operator {i} is not symmetric")
-                if min(jacobi_eigenvalues(op)) < EIGENVALUE_FLOOR:
+                if np.linalg.eigvalsh(op)[0] < EIGENVALUE_FLOOR:
                     raise ValueError(f"operator {i} is not positive semidefinite")
         total = sum(ops)
         if np.max(np.abs(total - np.eye(n))) > COMPLETENESS_TOL:
@@ -286,6 +234,7 @@ class MeasurementSet:
         mat = np.vstack(rows)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("von Neumann measurement needs a complete basis")
+        _require_finite(mat, "basis")
         gram_defect = np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0])))
         if gram_defect > COMPLETENESS_TOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {gram_defect:.3g})")
@@ -314,18 +263,19 @@ def measure(rho: DensityMatrix, measurement: MeasurementSet) -> list[float]:
 def sample(psi: JspsVector, seed: int, draws: int) -> list[int]:
     """Draw outcomes with probabilities equal to the squared components.
 
-    Inverse-CDF sampling over the cumulative squared components, driven by
-    numpy's PCG64 generator seeded with `seed`, so counts are reproducible
-    bit-for-bit on a given platform.  Returns per-outcome counts summing
-    to `draws`.
+    Inverse-CDF sampling over the cumulative squared components c, driven
+    by numpy's PCG64 generator seeded with `seed`, so counts are
+    reproducible bit-for-bit on a given platform: outcome k counts the
+    uniform draws u with c[k-1] <= u < c[k], read off the sorted draws.
+    Returns per-outcome counts summing to `draws`.
     """
     if draws < 1:
         raise ValueError(f"number of draws must be >= 1, got {draws}")
     cumulative = np.cumsum(psi.probabilities())
     cumulative[-1] = 1.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    outcomes = np.searchsorted(cumulative, rng.random(draws), side="right")
-    return [int(c) for c in np.bincount(outcomes, minlength=psi.size)]
+    u = np.random.Generator(np.random.PCG64(seed)).random(draws)
+    u.sort()
+    return np.diff(np.searchsorted(u, cumulative, side="left"), prepend=0).tolist()
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -117,7 +117,13 @@ class PrefixCode:
         return tuple(len(w) for w in self.codewords)
 
     def kraft_sum(self) -> Fraction:
-        return sum(Fraction(1, 2 ** len(w)) for w in self.codewords)
+        return _kraft_sum(self.codewords)
+
+
+def _kraft_sum(words: Sequence[str]) -> Fraction:
+    """Sum of 2^-len(w), added in integers over 2^(longest length)."""
+    top = max(len(w) for w in words)
+    return Fraction(sum(1 << (top - len(w)) for w in words), 1 << top)
 
 
 @dataclass(frozen=True)
@@ -405,5 +411,4 @@ def parse_code_table(text: str) -> PrefixCode:
     if sorted(entries) != list(range(size)):
         raise ValueError(f"table must cover indices 0..{size - 1} exactly once")
     words = tuple(entries[i] for i in range(size))
-    kraft = sum(Fraction(1, 2 ** len(w)) for w in words)
-    return PrefixCode(words, mode="exact" if kraft == 1 else "fallback")
+    return PrefixCode(words, mode="exact" if _kraft_sum(words) == 1 else "fallback")

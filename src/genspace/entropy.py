@@ -118,7 +118,8 @@ def combinatorial_volumes(
 def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
     """-sum(p_i log_b p_i), each term evaluated from the exact rational p_i."""
     _check_base(base)
-    bits = -sum(float(p) * _log2_fraction(p) for p in dist.probs)
+    # 0.0 - sum, not -sum: a certain distribution gives +0.0, never -0.0.
+    bits = 0.0 - sum(float(p) * _log2_fraction(p) for p in dist.probs)
     return bits / math.log2(base)
 
 

@@ -1,5 +1,6 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and reference implementations shared by the tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -119,3 +120,84 @@ def reference_decode(code, bits):
     if current:
         raise DecodeError(f"incomplete codeword {current!r} at end of stream")
     return out
+
+
+MAX_EIGEN_DIM = 64
+
+
+def jacobi_eigenvalues(
+    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
+) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    The independent oracle for the LAPACK ``eigvalsh`` validation in
+    `genspace.born`.  Sweeps row-cyclically over the upper triangle,
+    annihilating each off-diagonal entry with a plane rotation, until the
+    off-diagonal Frobenius norm drops to `tol`.  Ascending-sorted
+    eigenvalues.
+
+    Intended for desk-scale validation; dimensions above 64 are refused.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n > MAX_EIGEN_DIM:
+        raise ValueError(f"eigensolver supports dimensions <= {MAX_EIGEN_DIM}, got {n}")
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-8:
+        raise ValueError("eigensolver requires a symmetric matrix")
+    if n == 1:
+        return a.diagonal().copy()
+
+    off_mask = ~np.eye(n, dtype=bool)
+
+    def off_norm() -> float:
+        # Summed directly over the off-diagonal entries; subtracting the
+        # diagonal from the full norm would cancel catastrophically here.
+        return math.sqrt(float(np.sum(a[off_mask] ** 2)))
+
+    for _ in range(max_sweeps):
+        if off_norm() <= tol:
+            return np.sort(a.diagonal().copy())
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-300:
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                # Rotation with |angle| <= pi/4 (tan = t), which keeps the
+                # cyclic sweep monotonically convergent; hypot avoids
+                # overflow when the diagonal gap dwarfs the entry.
+                tau = float(a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0:
+                    t = 1.0 / (tau + math.hypot(tau, 1.0))
+                else:
+                    t = -1.0 / (-tau + math.hypot(tau, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+    if off_norm() <= tol:
+        return np.sort(a.diagonal().copy())
+    raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+
+
+def reference_sample(psi, seed, draws):
+    """Per-draw inverse-CDF sampler: the oracle for `genspace.sample`.
+
+    Looks each uniform draw up in the cumulative squared components with
+    ``searchsorted(..., side="right")`` and counts the outcomes.
+    """
+    if draws < 1:
+        raise ValueError(f"number of draws must be >= 1, got {draws}")
+    cumulative = np.cumsum(psi.probabilities())
+    cumulative[-1] = 1.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    outcomes = np.searchsorted(cumulative, rng.random(draws), side="right")
+    return [int(c) for c in np.bincount(outcomes, minlength=psi.size)]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genspace import (
     DensityMatrix,
@@ -12,14 +14,19 @@ from genspace import (
     born_probability,
     collapse,
     collapse_jsps,
-    jacobi_eigenvalues,
     jsps_from_distribution,
     measure,
     sample,
     validate_density,
 )
 from genspace.born import format_matrix, parse_matrix
-from helpers import gram_schmidt_basis, random_distribution, random_unit_vector
+from helpers import (
+    gram_schmidt_basis,
+    jacobi_eigenvalues,
+    random_distribution,
+    random_unit_vector,
+    reference_sample,
+)
 
 F = Fraction
 
@@ -190,6 +197,42 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="not a density matrix"):
             DensityMatrix([[0.5, 0.6], [0.6, 0.5]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.diag([0.5, 0.5])
+        m[1, 0] = bad
+        message = rf"matrix entry \(1, 0\) is {bad}; entries must be finite"
+        with pytest.raises(ValueError, match=message):
+            validate_density(m)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(m)
+
+    def test_eigenvalues_match_jacobi_oracle(self):
+        rng = np.random.default_rng(67)
+        for n in [*rng.integers(1, 33, size=12).tolist(), 64]:
+            m = rng.normal(size=(n, n))
+            report = validate_density(m)
+            assert report.eigenvalues == pytest.approx(
+                jacobi_eigenvalues((m + m.T) / 2), abs=1e-9
+            )
+
+    def test_no_dimension_cap(self):
+        rng = np.random.default_rng(71)
+        n = 128
+        diag = rng.dirichlet(np.ones(n))
+        q = gram_schmidt_basis(rng, n)
+        rho = DensityMatrix(q @ np.diag(diag) @ q.T)
+        assert validate_density(rho.entries).eigenvalues == pytest.approx(
+            np.sort(diag), abs=1e-12
+        )
+        basis = gram_schmidt_basis(rng, n)
+        probs = measure(rho, MeasurementSet.von_neumann(basis))
+        expected = [float(row @ rho.entries @ row) for row in basis]
+        assert probs == pytest.approx(expected, abs=1e-12)
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-10)
+        povm = MeasurementSet([np.outer(b, b) for b in np.eye(n)])
+        assert measure(rho, povm) == pytest.approx(np.diag(rho.entries), abs=1e-15)
+
 
 class TestMeasure:
     def test_diagonal_density_standard_projectors(self):
@@ -260,6 +303,17 @@ class TestMeasure:
         mset = MeasurementSet(ops)
         assert len(mset) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        ops[1][0, 0] = bad
+        with pytest.raises(ValueError, match=rf"operator 1 entry \(0, 0\) is {bad}"):
+            MeasurementSet(ops)
+        basis = np.eye(2)
+        basis[0, 1] = bad
+        with pytest.raises(ValueError, match=rf"basis entry \(0, 1\) is {bad}"):
+            MeasurementSet.von_neumann(basis)
+
     def test_indefinite_operator_rejected(self):
         ops = [np.array([[1.0, 0.5], [0.5, 0.0]]), np.array([[0.0, -0.5], [-0.5, 1.0]])]
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -298,6 +352,54 @@ class TestSample:
     def test_draws_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(JspsVector([1.0]), seed=1, draws=0)
+
+    @pytest.mark.parametrize(
+        "psi, seed, draws, counts",
+        [
+            (JspsVector([math.sqrt(0.5)] * 2), 123, 1000, [501, 499]),
+            (JspsVector([math.sqrt(2 / 3), math.sqrt(1 / 3)]), 42, 997, [665, 332]),
+            (JspsVector([math.sqrt(x) for x in (1 / 6, 1 / 3, 1 / 2)]), 2024, 1, [0, 0, 1]),
+            (JspsVector([0.0, 1.0]), 11, 1, [0, 1]),
+            (JspsVector([0.6, 0.0, 0.8]), 5, 2000, [723, 0, 1277]),
+            (JspsVector([0.0, 0.6, 0.0, 0.8, 0.0]), 17, 3000, [0, 1125, 0, 1875, 0]),
+            (
+                JspsVector([math.sqrt(1 / 8)] * 8),
+                99,
+                12345,
+                [1546, 1539, 1522, 1495, 1627, 1519, 1504, 1593],
+            ),
+        ],
+    )
+    def test_golden_counts(self, psi, seed, draws, counts):
+        assert sample(psi, seed, draws) == counts
+
+    def test_draw_on_a_cumulative_bound_counts_for_the_next_outcome(self):
+        # Outcome k takes the draws u with c[k-1] <= u < c[k]; a tie between a
+        # uniform draw and c[0] is built by making p_0 equal the first draw.
+        for seed in range(100):
+            u = float(np.random.Generator(np.random.PCG64(seed)).random())
+            if math.sqrt(u) ** 2 == u:
+                break
+        psi = JspsVector([math.sqrt(u), math.sqrt(1 - u)])
+        assert psi.probabilities()[0] == u
+        assert sample(psi, seed, 1) == reference_sample(psi, seed, 1) == [0, 1]
+
+
+@st.composite
+def state_vectors(draw):
+    """Unit vectors from random weights, zero-probability outcomes included."""
+    weights = draw(
+        st.lists(st.integers(0, 20) | st.floats(0, 1), min_size=1, max_size=12).filter(
+            lambda w: sum(w) > 0
+        )
+    )
+    total = math.fsum(weights)
+    return JspsVector([math.sqrt(w / total) for w in weights])
+
+
+@given(state_vectors(), st.integers(0, 2**63 - 1), st.integers(1, 3000))
+def test_sample_matches_per_draw_reference(psi, seed, draws):
+    assert sample(psi, seed, draws) == reference_sample(psi, seed, draws)
 
 
 class TestMatrixText:

@@ -25,6 +25,7 @@ from genspace import (
 from genspace.coding import (
     _canonical_codewords,
     _ceil_log2_ratio,
+    _kraft_sum,
     format_code_table,
     parse_code_table,
 )
@@ -270,6 +271,22 @@ def _decode_outcome(decoder, code, bits):
         return decoder(code, bits)
     except DecodeError as exc:
         return f"DecodeError: {exc}"
+
+
+def _fraction_kraft_sum(words):
+    return sum(F(1, 2 ** len(w)) for w in words)
+
+
+@given(st.lists(st.text("01", max_size=70), min_size=1, max_size=60))
+def test_kraft_sum_matches_fraction_sum(words):
+    assert _kraft_sum(words) == _fraction_kraft_sum(words)
+
+
+@given(prefix_codes())
+def test_code_table_mode_follows_fraction_kraft_sum(code):
+    assert code.kraft_sum() == _fraction_kraft_sum(code.codewords)
+    loaded = parse_code_table(format_code_table(code))
+    assert loaded.mode == ("exact" if _fraction_kraft_sum(code.codewords) == 1 else "fallback")
 
 
 @given(prefix_codes(), st.data())

@@ -98,6 +98,15 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy(DYADIC, 2.5)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [ExactDistribution([F(1)]), ExactDistribution([F(1, 2**1100), 1 - F(1, 2**1100)])],
+    )
+    def test_certain_and_near_certain_give_positive_zero(self, dist):
+        for base in (2, 10):
+            h = shannon_entropy(dist, base)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
     def test_base_change(self):
         rng = np.random.default_rng(404)
         for _ in range(20):
