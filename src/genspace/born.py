@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distribution import ExactDistribution, GenericSpace
+from .distribution import ExactDistribution, collapse
 
 __all__ = [
     "JspsVector",
@@ -90,7 +90,8 @@ class JspsVector:
 
 def jsps_from_distribution(dist: ExactDistribution) -> JspsVector:
     """Embed a distribution as the unit vector with components sqrt(p_i)."""
-    return JspsVector(math.sqrt(p) for p in dist.probs)
+    d = dist.dimension
+    return JspsVector(math.sqrt(c / d) for c in dist.counts)
 
 
 def collapse_jsps(dimension: int, counts: Sequence[int]) -> JspsVector:
@@ -100,10 +101,7 @@ def collapse_jsps(dimension: int, counts: Sequence[int]) -> JspsVector:
     onto its diagonal with amplitude sqrt(counts[i]/D); the norm is
     preserved, so the result squares to the collapsed distribution.
     """
-    space = GenericSpace(dimension, tuple(counts))
-    return JspsVector(
-        math.sqrt(c / space.dimension) for c in space.counts
-    )
+    return jsps_from_distribution(collapse(dimension, counts))
 
 
 def born_probability(psi: JspsVector, outcome: JspsVector) -> float:

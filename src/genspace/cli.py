@@ -8,15 +8,14 @@ Commands:
   table1                effective dimensions of four reference coins
   check JOINT           elementary information inequalities on a joint
 
-Exit codes: 0 success, 2 input error, 3 codec/framing error, 4 an
-inequality check failed.
+Exit codes: 0 success, 2 input error (including a number too large for a
+float), 3 codec/framing error, 4 an inequality check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from .entropy import (
     combinatorial_volumes,
     effective_dimension,
     entropy_suite,
-    shannon_entropy,
 )
 from .joint import check_inequalities, parse_joint
 
@@ -127,21 +125,9 @@ def run_analyze(args: argparse.Namespace) -> int:
     dist = parse_distribution(args.dist_file.read_text())
     space = generic_space(dist)
     volumes = combinatorial_volumes(space, args.exact_limit)
-    suite = entropy_suite(dist, args.base)
-
-    h_renyi = None
-    if args.renyi is not None:
-        # Order 1 is the Shannon limit; the library functions refuse it.
-        if args.renyi == 1:
-            h_renyi = suite.shannon
-        else:
-            h_renyi = entropy_suite(dist, args.base, renyi_order=args.renyi).renyi[1]
-    h_tsallis = None
-    if args.tsallis is not None:
-        if args.tsallis == 1:
-            h_tsallis = shannon_entropy(dist, 2) * math.log(2)
-        else:
-            h_tsallis = entropy_suite(dist, args.base, tsallis_order=args.tsallis).tsallis[1]
+    suite = entropy_suite(dist, args.base, args.renyi, args.tsallis)
+    h_renyi = suite.renyi[1] if suite.renyi else None
+    h_tsallis = suite.tsallis[1] if suite.tsallis else None
 
     if args.json:
         report = {
@@ -149,6 +135,7 @@ def run_analyze(args: argparse.Namespace) -> int:
             "counts": list(space.counts),
             "v_info": volumes.v_info,
             "v_uinfo": volumes.v_uinfo,
+            "exact_computed": volumes.exact_computed,
             "log2_ratio": volumes.log2_ratio,
             "H_shannon": suite.shannon,
             "H_shannon_via_ratio": suite.shannon_via_ratio,
@@ -292,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,19 +309,20 @@ def average_length(code: PrefixCode, dist: ExactDistribution) -> CodeStats:
         raise ValueError(
             f"dimension mismatch: code has {code.size} symbols, distribution {dist.size}"
         )
-    avg = sum(
-        (p * length for p, length in zip(dist.probs, code.lengths())),
-        start=Fraction(0),
+    avg = Fraction(
+        sum(c * length for c, length in zip(dist.counts, code.lengths())), dist.dimension
     )
     return CodeStats(average_length=avg, entropy_gap=float(avg) - shannon_entropy(dist, 2))
 
 
 def huffman_oracle(dist: ExactDistribution) -> PrefixCode:
-    """Textbook Huffman code over the exact rational weights.
+    """Textbook Huffman code over the exact weights, the integer counts c_i.
 
-    Deterministic: weight ties are broken by merging the subtrees holding
-    the lowest original indices first, and the resulting lengths are
-    assigned canonically.  Serves as the independent optimality reference
+    The counts are the probabilities scaled by D, so every comparison of
+    merged weights comes out as it would on the rationals.  Deterministic:
+    weight ties are broken by merging the subtrees holding the lowest
+    original indices first, and the resulting lengths are assigned
+    canonically.  Serves as the independent optimality reference
     for :func:`build_generic_code`.
     """
     n = dist.size
@@ -329,9 +330,7 @@ def huffman_oracle(dist: ExactDistribution) -> PrefixCode:
         return PrefixCode(("",), mode="huffman")
     # (weight, lowest original index in subtree, tree); the index is unique
     # per node so the tree itself is never compared.
-    heap: list[tuple[Fraction, int, object]] = [
-        (p, i, i) for i, p in enumerate(dist.probs)
-    ]
+    heap: list[tuple[int, int, object]] = [(c, i, i) for i, c in enumerate(dist.counts)]
     heapq.heapify(heap)
     while len(heap) > 1:
         w1, i1, t1 = heapq.heappop(heap)

@@ -7,8 +7,10 @@ space that collapses onto the observed distribution when the N_i outcomes
 of each group are merged into one indistinguishable outcome; we call D the
 generic dimension and the pair (D, counts) the generic space.
 
-Everything here is exact: probabilities are `fractions.Fraction`, counts
-and dimensions are arbitrary-precision integers, and no operation rounds.
+Everything here is exact, and the generic space is the representation: a
+distribution stores the integers (D, counts), reduced so that
+gcd(D, *counts) == 1, and no operation rounds.  `fractions.Fraction` views
+of the probabilities are built only at the edges, on request.
 """
 
 from __future__ import annotations
@@ -29,37 +31,75 @@ __all__ = [
     "tensor_product",
 ]
 
-_TOKEN_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+Space = tuple[int, tuple[int, ...]]  # a generic space (D, counts)
+
+# ASCII digits only: \d and int() would also take other Unicode digits.
+_TOKEN_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational_token(token: str, kind: str) -> tuple[int, int]:
+    """The (num, den) integers of an "n/d" or "n" token; `kind` names it in errors."""
+    m = _TOKEN_RE.fullmatch(token)
+    if m is None:
+        raise ValueError(f"malformed {kind} token {token!r}")
+    den = int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")
+    return int(m.group(1)), den
+
+
+def _common_space(pairs: Sequence[tuple[int, int]], what: str = "probabilities") -> Space:
+    """The generic space of the ratios num/den of (num, den) `pairs`.
+
+    D is the lcm of the denominators, and the space is then divided by
+    gcd(D, *counts), which makes it unique.
+    """
+    if not pairs:
+        raise ValueError("distribution needs at least one outcome")
+    dimension = math.lcm(*(den for _, den in pairs))
+    counts = [num * (dimension // den) for num, den in pairs]
+    total = sum(counts)
+    if total != dimension:
+        raise ValueError(f"{what} sum to {Fraction(total, dimension)}, expected 1")
+    g = math.gcd(dimension, *counts)
+    return dimension // g, tuple(c // g for c in counts)
 
 
 class ExactDistribution:
     """An ordered list of strictly positive rationals that sum to exactly 1.
 
-    Input order defines outcome identity; entries are stored reduced but
-    never sorted or deduplicated.
+    Stored as its reduced generic space: `dimension` D and integer
+    `counts`, with p_i = counts[i] / D.  Input order defines outcome
+    identity; entries are never sorted or deduplicated.  `probs`, the
+    reduced `Fraction` view, is built on first use.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("dimension", "counts", "_probs")
 
     def __init__(self, probs: Iterable[Fraction | int]):
         entries = tuple(Fraction(p) for p in probs)
-        if not entries:
-            raise ValueError("distribution needs at least one outcome")
         for i, p in enumerate(entries):
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ValueError(f"probability at index {i} is {p}; all must be > 0")
-        total = sum(entries)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        self.probs = entries
+        pairs = [(p.numerator, p.denominator) for p in entries]
+        self.dimension, self.counts = _common_space(pairs)
+        self._probs = entries
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The probabilities as reduced fractions counts[i] / dimension."""
+        if self._probs is None:
+            d = self.dimension
+            self._probs = tuple(Fraction(c, d) for c in self.counts)
+        return self._probs
 
     @property
     def size(self) -> int:
         """Number of outcomes in the measurement space."""
-        return len(self.probs)
+        return len(self.counts)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.counts)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.probs)
@@ -70,13 +110,21 @@ class ExactDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactDistribution):
             return NotImplemented
-        return self.probs == other.probs
+        # The reduced generic space is unique, so this is equality of probs.
+        return self.dimension == other.dimension and self.counts == other.counts
 
     def __hash__(self) -> int:
-        return hash(self.probs)
+        return hash((self.dimension, self.counts))
 
     def __repr__(self) -> str:
         return f"ExactDistribution({format_distribution(self)!r})"
+
+
+def _from_space(dimension: int, counts: tuple[int, ...]) -> ExactDistribution:
+    """Wrap a valid, reduced generic space without re-checking it."""
+    dist = ExactDistribution.__new__(ExactDistribution)
+    dist.dimension, dist.counts, dist._probs = dimension, counts, None
+    return dist
 
 
 @dataclass(frozen=True)
@@ -117,25 +165,16 @@ class GenericSpace:
 def parse_distribution(text: str) -> ExactDistribution:
     """Parse whitespace-separated "n/d" (or integer "n") tokens.
 
-    A '#' starts a comment that runs to the end of the line.
+    A '#' starts a comment that runs to the end of the line.  Tokens are
+    ASCII digits; they need not be reduced.
     """
-    tokens: list[str] = []
+    pairs: list[tuple[int, int]] = []
     for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    probs: list[Fraction] = []
-    for token in tokens:
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise ValueError(f"malformed probability token {token!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
-        if den == 0:
-            raise ValueError(f"malformed probability token {token!r} (zero denominator)")
-        if num == 0:
-            raise ValueError(f"zero probability token {token!r}")
-        probs.append(Fraction(num, den))
-    return ExactDistribution(probs)
+        for token in line.split("#", 1)[0].split():
+            pairs.append(_rational_token(token, "probability"))
+            if pairs[-1][0] == 0:
+                raise ValueError(f"zero probability token {token!r}")
+    return _from_space(*_common_space(pairs))
 
 
 def format_distribution(dist: ExactDistribution) -> str:
@@ -144,27 +183,29 @@ def format_distribution(dist: ExactDistribution) -> str:
 
 
 def generic_space(dist: ExactDistribution) -> GenericSpace:
-    """Build the minimal generic space of a distribution.
+    """The minimal generic space of a distribution, which it stores.
 
     The dimension is the lcm of the reduced denominators, which makes it
     the smallest D for which every D * p_i is an integer; the counts are
     then coprime as a set.
     """
-    dimension = math.lcm(*(p.denominator for p in dist.probs))
-    counts = tuple(p.numerator * (dimension // p.denominator) for p in dist.probs)
-    return GenericSpace(dimension, counts)
+    return GenericSpace(dist.dimension, dist.counts)
 
 
 def collapse(dimension: int, counts: Sequence[int]) -> ExactDistribution:
     """Merge each block of a uniform `dimension`-outcome space into one outcome.
 
-    Returns the distribution with p_i = counts[i] / dimension.  Inverse of
+    Returns the distribution with p_i = counts[i] / dimension, stored over
+    the space divided by gcd(dimension, *counts).  Inverse of
     :func:`generic_space` whenever the counts are setwise coprime.
     """
     space = GenericSpace(dimension, tuple(counts))
-    return ExactDistribution(Fraction(c, space.dimension) for c in space.counts)
+    return _from_space(*_common_space([(c, space.dimension) for c in space.counts]))
 
 
 def tensor_product(p: ExactDistribution, q: ExactDistribution) -> ExactDistribution:
     """Joint distribution of two independent variables, row-major order."""
-    return ExactDistribution(pi * qj for pi in p.probs for qj in q.probs)
+    # gcd(a_i * b_j) = gcd(a) * gcd(b) = 1, so the product space is reduced.
+    return _from_space(
+        p.dimension * q.dimension, tuple(a * b for a in p.counts for b in q.counts)
+    )

@@ -8,10 +8,11 @@ of the collapsed distribution, so R ** (1/D) = 2 ** H acts as the
 effective dimension: the size of a uniform distribution with equal
 uncertainty.
 
-All quantities are evaluated from exact rationals and converted to float
-only inside the final logarithm or multiplication, so the direct-formula
-and volume-ratio routes agree to ~1e-12 at any dimension the exact path
-can reach.
+Every formula reads the integer generic space (D, counts) of the
+distribution; a probability becomes the float c / D (the correctly rounded
+quotient of two integers) only inside the final logarithm or
+multiplication, so the direct-formula and volume-ratio routes agree to
+~1e-12 at any dimension the exact path can reach.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .distribution import ExactDistribution, GenericSpace, generic_space
 
@@ -115,12 +117,20 @@ def combinatorial_volumes(
     )
 
 
+def _shannon_bits(dimension: int, counts: Iterable[int]) -> float:
+    """sum((c/D) * (log2 D - log2 c)), in bits, over the non-zero counts.
+
+    The terms are >= 0 and the sum starts from the integer 0, so a certain
+    distribution gives +0.0, never -0.0.
+    """
+    log2_d = math.log2(dimension)
+    return sum((c / dimension) * (log2_d - math.log2(c)) for c in counts if c)
+
+
 def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
-    """-sum(p_i log_b p_i), each term evaluated from the exact rational p_i."""
+    """-sum(p_i log_b p_i), each term evaluated from the exact count c_i / D."""
     _check_base(base)
-    # 0.0 - sum, not -sum: a certain distribution gives +0.0, never -0.0.
-    bits = 0.0 - sum(float(p) * _log2_fraction(p) for p in dist.probs)
-    return bits / math.log2(base)
+    return _shannon_bits(dist.dimension, dist.counts) / math.log2(base)
 
 
 def shannon_via_ratio(space: GenericSpace, base: int = 2) -> float:
@@ -130,9 +140,8 @@ def shannon_via_ratio(space: GenericSpace, base: int = 2) -> float:
     :func:`shannon_entropy` of the collapsed distribution to ~1e-12.
     """
     _check_base(base)
-    d = space.dimension
-    bits = d * math.log2(d) - sum(c * math.log2(c) for c in space.counts)
-    return bits / (d * math.log2(base))
+    bits = combinatorial_volumes(space, exact_limit=0).log2_ratio
+    return bits / (space.dimension * math.log2(base))
 
 
 def effective_dimension(dist: ExactDistribution) -> float:
@@ -144,13 +153,18 @@ def effective_dimension(dist: ExactDistribution) -> float:
     return 2.0 ** shannon_entropy(dist, 2)
 
 
+def _power_sum(dist: ExactDistribution, order: float) -> float:
+    """sum(p_i ** order), each p_i the float c_i / D."""
+    d = dist.dimension
+    return sum((c / d) ** order for c in dist.counts)
+
+
 def renyi_entropy(dist: ExactDistribution, order: float, base: int = 2) -> float:
     """(1 - r)^-1 * log_b(sum p_i^r) for r > 0, r != 1."""
     _check_base(base)
     if order <= 0 or order == 1:
         raise ValueError(f"Renyi order must be > 0 and != 1, got {order}")
-    power_sum = sum(float(p) ** order for p in dist.probs)
-    return math.log2(power_sum) / ((1.0 - order) * math.log2(base))
+    return math.log2(_power_sum(dist, order)) / ((1.0 - order) * math.log2(base))
 
 
 def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
@@ -161,8 +175,7 @@ def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
     """
     if order <= 0 or order == 1:
         raise ValueError(f"Tsallis order must be > 0 and != 1, got {order}")
-    power_sum = sum(float(p) ** order for p in dist.probs)
-    return (1.0 - power_sum) / (order - 1.0)
+    return (1.0 - _power_sum(dist, order)) / (order - 1.0)
 
 
 def projection_ratio(dist: ExactDistribution) -> Fraction:
@@ -171,7 +184,7 @@ def projection_ratio(dist: ExactDistribution) -> Fraction:
     Equals prod(N_i) / D^N: the volume of the hypercuboid with edges N_i
     relative to the hypercube of edge D in the N-dimensional space.
     """
-    return math.prod(dist.probs, start=Fraction(1))
+    return Fraction(math.prod(dist.counts), dist.dimension ** dist.size)
 
 
 def projection_entropy(dist: ExactDistribution, base: int = 2) -> float:
@@ -193,18 +206,29 @@ def entropy_suite(
     renyi_order: float | None = None,
     tsallis_order: float | None = None,
 ) -> EntropySuite:
-    """Evaluate the whole entropy family for one distribution."""
+    """Evaluate the whole entropy family for one distribution.
+
+    Order 1 is the Shannon limit of both families, which the standalone
+    functions refuse: `renyi_order=1` gives the Shannon entropy in `base`,
+    `tsallis_order=1` the natural-log Shannon entropy.
+    """
+    _check_base(base)
     space = generic_space(dist)
+    bits = _shannon_bits(space.dimension, space.counts)
+    shannon = bits / math.log2(base)
     renyi = None
     if renyi_order is not None:
-        renyi = (renyi_order, renyi_entropy(dist, renyi_order, base))
+        h = shannon if renyi_order == 1 else renyi_entropy(dist, renyi_order, base)
+        renyi = (renyi_order, h)
     tsallis = None
     if tsallis_order is not None:
-        tsallis = (tsallis_order, tsallis_entropy(dist, tsallis_order))
+        h = bits * math.log(2) if tsallis_order == 1 else tsallis_entropy(dist, tsallis_order)
+        tsallis = (tsallis_order, h)
     return EntropySuite(
-        shannon=shannon_entropy(dist, base),
+        shannon=shannon,
         shannon_via_ratio=shannon_via_ratio(space, base),
-        effective_dimension=effective_dimension(dist),
+        # 2^H in bits, as effective_dimension computes it.
+        effective_dimension=2.0**bits,
         projection=projection_entropy(dist, base),
         base=base,
         renyi=renyi,

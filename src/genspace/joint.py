@@ -1,8 +1,10 @@
 """Exact two-variable joints: marginals, conditional entropy, mutual information.
 
-Cells are exact rationals; zero cells are allowed (0 log 0 counts as 0)
-as long as every row and column keeps positive mass, so the marginals are
-always valid distributions.
+A joint is stored as an integer matrix of counts over one common
+denominator D, reduced so that gcd(D, *cells) == 1; the `Fraction` view
+`cells` is built only on request.  Zero cells are allowed (0 log 0 counts
+as 0) as long as every row and column keeps positive mass, so the
+marginals are always valid distributions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import ExactDistribution
-from .entropy import _check_base, _log2_fraction, shannon_entropy
+from .distribution import ExactDistribution, _common_space, _rational_token, collapse
+from .entropy import _check_base, _shannon_bits, shannon_entropy
 
 __all__ = [
     "JointDistribution",
@@ -29,76 +31,97 @@ __all__ = [
 ]
 
 
-class JointDistribution:
-    """An R x C matrix of non-negative rationals summing to exactly 1."""
+def _common_matrix(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, tuple]:
+    """The reduced integer matrix of rows of (num, den) cells, over their lcm."""
+    if not rows or not rows[0]:
+        raise ValueError("joint distribution must have at least one cell")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("all rows must have the same number of cells")
+    cells = [cell for row in rows for cell in row]
+    for i, (num, den) in enumerate(cells):
+        if num < 0:
+            cell = Fraction(num, den)
+            raise ValueError(f"cell ({i // width},{i % width}) is negative: {cell}")
+    dimension, flat = _common_space(cells, "cells")
+    counts = tuple(zip(*[iter(flat)] * width))
+    for what, lines in (("row", counts), ("column", zip(*counts))):
+        for i, line in enumerate(lines):
+            if not any(line):
+                raise ValueError(f"{what} {i} has zero mass")
+    return dimension, counts
 
-    __slots__ = ("cells",)
+
+class JointDistribution:
+    """An R x C matrix of non-negative rationals summing to exactly 1.
+
+    Stored as `dimension` D and the integer matrix `counts`, with cell
+    (r, c) equal to counts[r][c] / D; `cells` is the reduced `Fraction`
+    view, built on first use.
+    """
+
+    __slots__ = ("dimension", "counts", "_cells")
 
     def __init__(self, cells: Iterable[Iterable[Fraction | int]]):
         rows = tuple(tuple(Fraction(c) for c in row) for row in cells)
-        if not rows or not rows[0]:
-            raise ValueError("joint distribution must have at least one cell")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("all rows must have the same number of cells")
-        for r, row in enumerate(rows):
-            for c, cell in enumerate(row):
-                if cell < 0:
-                    raise ValueError(f"cell ({r},{c}) is negative: {cell}")
-        total = sum(sum(row) for row in rows)
-        if total != 1:
-            raise ValueError(f"cells sum to {total}, expected 1")
-        for r, row in enumerate(rows):
-            if sum(row) == 0:
-                raise ValueError(f"row {r} has zero mass")
-        for c in range(width):
-            if sum(row[c] for row in rows) == 0:
-                raise ValueError(f"column {c} has zero mass")
-        self.cells = rows
+        pairs = [[(c.numerator, c.denominator) for c in row] for row in rows]
+        self.dimension, self.counts = _common_matrix(pairs)
+        self._cells = rows
+
+    @property
+    def cells(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._cells is None:
+            d = self.dimension
+            self._cells = tuple(tuple(Fraction(c, d) for c in r) for r in self.counts)
+        return self._cells
 
     @property
     def rows(self) -> int:
-        return len(self.cells)
+        return len(self.counts)
 
     @property
     def cols(self) -> int:
-        return len(self.cells[0])
+        return len(self.counts[0])
 
     def transpose(self) -> "JointDistribution":
-        return JointDistribution(zip(*self.cells))
+        return _from_matrix(self.dimension, tuple(zip(*self.counts)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return self.cells == other.cells
+        # The reduced matrix is unique, so this is equality of cells.
+        return self.dimension == other.dimension and self.counts == other.counts
 
     def __hash__(self) -> int:
-        return hash(self.cells)
+        return hash((self.dimension, self.counts))
+
+
+def _from_matrix(dimension: int, counts: tuple) -> JointDistribution:
+    """Wrap a valid, reduced integer matrix without re-checking it."""
+    joint = JointDistribution.__new__(JointDistribution)
+    joint.dimension, joint.counts, joint._cells = dimension, counts, None
+    return joint
 
 
 def product_joint(px: ExactDistribution, py: ExactDistribution) -> JointDistribution:
     """The independent joint with cells p_i * q_j."""
-    return JointDistribution((pi * qj for qj in py.probs) for pi in px.probs)
+    # gcd(a_i * b_j) = gcd(a) * gcd(b) = 1, so the product matrix is reduced.
+    return _from_matrix(
+        px.dimension * py.dimension,
+        tuple(tuple(a * b for b in py.counts) for a in px.counts),
+    )
 
 
 def marginals(joint: JointDistribution) -> tuple[ExactDistribution, ExactDistribution]:
     """Exact row-sum (X) and column-sum (Y) distributions."""
-    x = ExactDistribution(sum(row) for row in joint.cells)
-    y = ExactDistribution(
-        sum(row[c] for row in joint.cells) for c in range(joint.cols)
-    )
-    return x, y
+    d, counts = joint.dimension, joint.counts
+    return collapse(d, list(map(sum, counts))), collapse(d, list(map(sum, zip(*counts))))
 
 
 def joint_entropy(joint: JointDistribution, base: int = 2) -> float:
     """H(X, Y) over the cells, with zero cells contributing zero."""
     _check_base(base)
-    bits = -sum(
-        float(cell) * _log2_fraction(cell)
-        for row in joint.cells
-        for cell in row
-        if cell > 0
-    )
+    bits = _shannon_bits(joint.dimension, (c for row in joint.counts for c in row))
     return bits / math.log2(base)
 
 
@@ -144,9 +167,11 @@ class InequalityReport:
 def check_inequalities(joint: JointDistribution) -> InequalityReport:
     """Verify H(X) >= H(X|Y), I >= 0, and I(X;Y) = I(Y;X) on one joint.
 
-    Independence is decided exactly: every cell equals the product of its
-    marginals as rationals.  Both information orders are computed through
-    separate conditional entropies rather than by symmetry.
+    Independence is decided exactly, in integers: every cell equals the
+    product of its marginals, counts[r][c] * D == row_r * col_c with the
+    row and column sums of the matrix.  Both information orders are
+    computed through separate conditional entropies rather than by
+    symmetry.
     """
     x, y = marginals(joint)
     h_x = shannon_entropy(x, 2)
@@ -156,11 +181,9 @@ def check_inequalities(joint: JointDistribution) -> InequalityReport:
     h_y_given_x = conditional_entropy(joint.transpose(), 2)
     mi_xy = h_x - h_x_given_y
     mi_yx = h_y - h_y_given_x
-    independent = all(
-        cell == x.probs[r] * y.probs[c]
-        for r, row in enumerate(joint.cells)
-        for c, cell in enumerate(row)
-    )
+    d, counts = joint.dimension, joint.counts
+    rows, cols = list(map(sum, counts)), list(map(sum, zip(*counts)))
+    independent = all(m * d == r * c for r, row in zip(rows, counts) for c, m in zip(cols, row))
     return InequalityReport(
         h_x=h_x,
         h_y=h_y,
@@ -175,18 +198,6 @@ def check_inequalities(joint: JointDistribution) -> InequalityReport:
         mi_symmetric=abs(mi_xy - mi_yx) <= 1e-12,
         independence_consistent=(not independent) or mi_xy <= 1e-12,
     )
-
-
-def _rational_token(token: str) -> Fraction:
-    parts = token.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"malformed rational token {token!r}")
 
 
 def parse_joint(text: str) -> JointDistribution:
@@ -215,8 +226,8 @@ def parse_joint(text: str) -> JointDistribution:
         tokens = line.split()
         if len(tokens) != n_cols:
             raise ValueError(f"expected {n_cols} cells per row, got {len(tokens)}: {line!r}")
-        cells.append([_rational_token(t) for t in tokens])
-    return JointDistribution(cells)
+        cells.append([_rational_token(t, "rational") for t in tokens])
+    return _from_matrix(*_common_matrix(cells))
 
 
 def format_joint(joint: JointDistribution) -> str:

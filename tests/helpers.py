@@ -1,11 +1,15 @@
 """Seeded random generators and reference implementations shared by the tests."""
 
+import heapq
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution
+from genspace.coding import _canonical_codewords
 
 
 def random_composition(rng, total, parts):
@@ -201,3 +205,139 @@ def reference_sample(psi, seed, draws):
     rng = np.random.Generator(np.random.PCG64(seed))
     outcomes = np.searchsorted(cumulative, rng.random(draws), side="right")
     return [int(c) for c in np.bincount(outcomes, minlength=psi.size)]
+
+
+# --- Fraction oracles -------------------------------------------------------
+# The rational-arithmetic implementations the library used before it stored
+# distributions and joints as integer generic spaces; the differential tests
+# compare the integer code with them.
+
+_ORACLE_TOKEN = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_parse(text):
+    """Probabilities of a distribution file, as a tuple of reduced Fractions."""
+    probs = []
+    for line in text.splitlines():
+        for token in line.split("#", 1)[0].split():
+            m = _ORACLE_TOKEN.fullmatch(token)
+            if m is None or int(m.group(2) or 1) == 0:
+                raise ValueError(f"malformed probability token {token!r}")
+            p = Fraction(int(m.group(1)), int(m.group(2) or 1))
+            if p == 0:
+                raise ValueError(f"zero probability token {token!r}")
+            probs.append(p)
+    if not probs or sum(probs) != 1:
+        raise ValueError("probabilities must sum to 1")
+    return tuple(probs)
+
+
+def fraction_generic_space(probs):
+    """(D, counts): D the lcm of the reduced denominators, counts p_i * D."""
+    dimension = math.lcm(*(p.denominator for p in probs))
+    return dimension, tuple(p.numerator * (dimension // p.denominator) for p in probs)
+
+
+def fraction_shannon_entropy(probs, base=2):
+    """-sum(p log_b p) over the non-zero probabilities, per reduced Fraction."""
+    bits = 0.0 - sum(
+        float(p) * (math.log2(p.numerator) - math.log2(p.denominator)) for p in probs if p
+    )
+    return bits / math.log2(base)
+
+
+def fraction_projection_ratio(probs):
+    return math.prod(probs, start=Fraction(1))
+
+
+def fraction_huffman(probs):
+    """Huffman codewords over a heap of Fraction weights.
+
+    Ties go to the subtree holding the lowest original index; the lengths
+    are assigned canonically.
+    """
+    n = len(probs)
+    if n == 1:
+        return ("",)
+    heap = [(p, i, i) for i, p in enumerate(probs)]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        w1, i1, t1 = heapq.heappop(heap)
+        w2, i2, t2 = heapq.heappop(heap)
+        heapq.heappush(heap, (w1 + w2, min(i1, i2), (t1, t2)))
+    lengths = [0] * n
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, tuple):
+            stack.append((node[0], depth + 1))
+            stack.append((node[1], depth + 1))
+        else:
+            lengths[node] = depth
+    return _canonical_codewords(lengths)
+
+
+def fraction_joint_cells(text):
+    """The cells of a joint file, as a tuple of rows of reduced Fractions."""
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    rows = [row for row in rows if row][1:]
+    return tuple(tuple(Fraction(*map(int, t.split("/"))) for t in row) for row in rows)
+
+
+def fraction_marginals(cells):
+    """Row sums and column sums of a Fraction matrix."""
+    return tuple(sum(row) for row in cells), tuple(sum(col) for col in zip(*cells))
+
+
+def fraction_independent(cells):
+    """Every cell equals the product of its marginals, as rationals."""
+    x, y = fraction_marginals(cells)
+    return all(cell == x[r] * y[c] for r, row in enumerate(cells) for c, cell in enumerate(row))
+
+
+def _token(draw, count, dimension):
+    """count/dimension as a token: reduced, or times k/k for a drawn k > 1."""
+    if count == 0 and draw(st.booleans()):
+        return "0"
+    g = math.gcd(count, dimension)
+    k = draw(st.integers(1, 4))
+    num, den = count // g * k, dimension // g * k
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _composition(draw, total, parts):
+    """`parts` positive integers summing to `total`, from distinct cut points."""
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=parts - 1, max_size=parts - 1)))
+    edges = [0, *cuts, total]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def distribution_texts(draw, max_bits=4096, max_outcomes=8):
+    """A valid distribution file over D' up to 2**max_bits, tokens often not reduced.
+
+    The token denominators share D' (possibly scaled per token), whose gcd
+    with the counts need not be 1, so the reduced D can be smaller.
+    """
+    dimension = draw(st.integers(1, 2**max_bits))
+    n = draw(st.integers(1, min(max_outcomes, dimension)))
+    counts = _composition(draw, dimension, n) if n > 1 else [dimension]
+    return " ".join(_token(draw, c, dimension) for c in counts)
+
+
+@st.composite
+def joint_texts(draw, max_bits=4096, max_side=5):
+    """A valid joint file with zero cells, over a D' up to 2**max_bits."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    # Cells that keep every row and column positive, plus any drawn others.
+    support = {(r, r % cols) for r in range(rows)} | {(c % rows, c) for c in range(cols)}
+    for r in range(rows):
+        for c in range(cols):
+            if draw(st.booleans()):
+                support.add((r, c))
+    dimension = draw(st.integers(len(support), 2**max_bits))
+    masses = iter(_composition(draw, dimension, len(support)) if len(support) > 1 else [dimension])
+    counts = [[next(masses) if (r, c) in support else 0 for c in range(cols)] for r in range(rows)]
+    lines = [" ".join(_token(draw, x, dimension) for x in row) for row in counts]
+    return f"{rows} {cols}\n" + "\n".join(lines) + "\n"

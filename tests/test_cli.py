@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ ANALYZE_KEYS = {
     "counts",
     "v_info",
     "v_uinfo",
+    "exact_computed",
     "log2_ratio",
     "H_shannon",
     "H_shannon_via_ratio",
@@ -64,12 +68,14 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["v_info"] == 1024
         assert report["v_uinfo"] == 16777216
+        assert report["exact_computed"] is True
         assert report["log2_ratio"] == pytest.approx(14.0)
 
     def test_exact_limit_flag(self, shannon_dist, capsys):
         assert main(["analyze", str(shannon_dist), "--json", "--exact-limit", "4"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["v_info"] is None
+        assert report["exact_computed"] is False
         assert report["log2_ratio"] == pytest.approx(14.0)
 
     def test_bad_sum_exits_2_with_exact_sum(self, tmp_path, capsys):
@@ -111,6 +117,44 @@ class TestAnalyze:
         assert report["H_tsallis"] == pytest.approx(
             report["H_shannon"] * math.log(2), abs=1e-12
         )
+
+    # Values printed by `analyze --renyi 1 --tsallis 1 --json` before the
+    # order-1 limits moved from the CLI into entropy_suite.
+    ORDER_ONE_GOLDEN = {
+        ("1/4 3/4", 2): (0.8112781244591329, 0.5623351446188084, 1.7547653506033234),
+        ("1/4 3/4", 10): (0.2442190502882156, 0.5623351446188084, 1.7547653506033234),
+        ("1/6 1/10 11/15", 2): (1.0911564760544912, 0.756332034926896, 2.1304474645823346),
+        ("1/6 1/10 11/15", 10): (0.3284708292554085, 0.756332034926896, 2.1304474645823346),
+    }
+
+    @pytest.mark.parametrize("text, base", list(ORDER_ONE_GOLDEN))
+    def test_order_one_golden(self, text, base, tmp_path, capsys):
+        path = tmp_path / "in.dist"
+        path.write_text(text + "\n")
+        args = ["analyze", str(path), "--json", "--renyi", "1", "--tsallis", "1"]
+        assert main([*args, "--base", str(base)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        shannon, tsallis, eff_dim = self.ORDER_ONE_GOLDEN[text, base]
+        assert report["H_renyi"] == report["H_shannon"] == pytest.approx(shannon, rel=1e-12)
+        assert report["H_tsallis"] == pytest.approx(tsallis, rel=1e-12)
+        assert report["eff_dim"] == pytest.approx(eff_dim, rel=1e-12)
+
+    def test_overflow_exits_2_without_traceback(self, tmp_path):
+        # The log-domain volumes convert D itself to float, which overflows
+        # above 2^1024.
+        d = 2**1100 + 1
+        path = tmp_path / "huge.dist"
+        path.write_text(f"3/{d} {d - 3}/{d}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "genspace.cli", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_seed_flag_accepted(self, coin_dist):
         assert main(["analyze", str(coin_dist), "--seed", "7"]) == 0

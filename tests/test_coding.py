@@ -29,7 +29,15 @@ from genspace.coding import (
     format_code_table,
     parse_code_table,
 )
-from helpers import random_distribution, random_dyadic_space, reference_decode
+from genspace.distribution import parse_distribution
+from helpers import (
+    distribution_texts,
+    fraction_huffman,
+    fraction_parse,
+    random_distribution,
+    random_dyadic_space,
+    reference_decode,
+)
 
 F = Fraction
 
@@ -159,6 +167,17 @@ class TestHuffmanOracle:
             ).average_length
             huffman = average_length(huffman_oracle(dist), dist).average_length
             assert huffman <= generic
+
+
+@given(st.one_of(distribution_texts(max_bits=8, max_outcomes=40), distribution_texts()))
+def test_huffman_and_average_length_match_fraction_oracle(text):
+    probs = fraction_parse(text)
+    dist = parse_distribution(text)
+    code = huffman_oracle(dist)
+    assert code.codewords == fraction_huffman(probs)
+    for c in (code, build_generic_code(generic_space(dist))):
+        expected = sum((p * n for p, n in zip(probs, c.lengths())), start=F(0))
+        assert average_length(c, dist).average_length == expected
 
 
 class TestDyadicOptimality:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genspace import (
@@ -15,6 +15,8 @@ from genspace import (
     parse_distribution,
     tensor_product,
 )
+from genspace.joint import parse_joint
+from helpers import distribution_texts, fraction_generic_space, fraction_parse
 
 F = Fraction
 
@@ -215,3 +217,81 @@ def test_tensor_product_sums_to_one_and_divides_dimension_bound(wp, wq):
     d_prod = generic_space(prod).dimension
     bound = generic_space(p).dimension * generic_space(q).dimension
     assert bound % d_prod == 0
+
+
+# Every token in both file formats, with the value it stands for (None: the
+# token is malformed in both).  Only the joint format admits a zero.
+TOKENS = [
+    ("1/2", F(1, 2)),
+    ("2/4", F(1, 2)),
+    ("007/014", F(1, 2)),
+    ("3/8", F(3, 8)),
+    ("1", F(1)),
+    ("5/5", F(1)),
+    ("0", F(0)),
+    ("0/3", F(0)),
+    ("+1/2", None),
+    ("1/+2", None),
+    ("-1/2", None),
+    ("1_0/20", None),
+    ("\u0661/\u0662", None),  # Arabic-Indic digits
+    ("\uff11/\uff12", None),  # fullwidth digits
+    ("\u00bd", None),
+    ("0.5", None),
+    ("1e0", None),
+    ("0x1/0x2", None),
+    ("1/", None),
+    ("/2", None),
+    ("1//2", None),
+    ("1/2/3", None),
+    ("1/0", None),
+    ("0/0", None),
+]
+
+
+@pytest.mark.parametrize("token, value", TOKENS)
+def test_both_parsers_read_a_token_alike(token, value):
+    if value is None:
+        with pytest.raises(ValueError, match="malformed probability token") as dist_err:
+            parse_distribution(token)
+        with pytest.raises(ValueError, match="malformed rational token") as joint_err:
+            parse_joint(f"1 1\n{token}\n")
+        assert repr(token) in str(dist_err.value) and repr(token) in str(joint_err.value)
+        return
+    rest = f"{(1 - value).numerator}/{(1 - value).denominator}"
+    if value == 0:
+        joint_text = f"2 2\n{token} 1/2\n1/2 0\n"
+        with pytest.raises(ValueError, match="zero probability token"):
+            parse_distribution(f"{token} 1")
+    elif value == 1:
+        joint_text = f"1 1\n{token}\n"
+        assert parse_distribution(token).probs == (value,)
+    else:
+        joint_text = f"1 2\n{token} {rest}\n"
+        assert parse_distribution(f"{token} {rest}").probs[0] == value
+    assert parse_joint(joint_text).cells[0][0] == value
+
+
+@given(distribution_texts())
+@example("1")
+@example("2/4 3/6")
+def test_parse_matches_fraction_oracle(text):
+    probs = fraction_parse(text)
+    space = fraction_generic_space(probs)
+    dist = parse_distribution(text)
+    assert dist.probs == probs
+    assert (dist.dimension, dist.counts) == space
+    assert (generic_space(dist).dimension, generic_space(dist).counts) == space
+    # The Fraction constructor and the integer one (from a space that is not
+    # reduced) give the same distribution.
+    for other in (ExactDistribution(probs), collapse(3 * space[0], [3 * c for c in space[1]])):
+        assert other == dist and hash(other) == hash(dist)
+        assert other.probs == probs
+
+
+@given(distribution_texts(max_bits=64, max_outcomes=4), distribution_texts(max_bits=64, max_outcomes=4))
+def test_tensor_product_matches_fraction_products(tp, tq):
+    prod = tensor_product(parse_distribution(tp), parse_distribution(tq))
+    expected = tuple(a * b for a in fraction_parse(tp) for b in fraction_parse(tq))
+    assert prod.probs == expected
+    assert (prod.dimension, prod.counts) == fraction_generic_space(expected)

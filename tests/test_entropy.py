@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from genspace import (
     ExactDistribution,
@@ -19,7 +21,14 @@ from genspace import (
     tensor_product,
     tsallis_entropy,
 )
-from helpers import random_distribution
+from genspace.distribution import parse_distribution
+from helpers import (
+    distribution_texts,
+    fraction_parse,
+    fraction_projection_ratio,
+    fraction_shannon_entropy,
+    random_distribution,
+)
 
 F = Fraction
 
@@ -339,3 +348,37 @@ def test_entropy_suite_bundles_consistent_values():
     assert suite.tsallis[1] == pytest.approx(tsallis_entropy(DYADIC, 2.0))
     assert 0.0 <= suite.shannon <= math.log2(DYADIC.size)
     assert 1.0 <= suite.effective_dimension <= DYADIC.size
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_entropy_suite_owns_the_order_one_limits(base):
+    for dist in (DYADIC, BENT_COIN, ExactDistribution([F(1, 6), F(1, 10), F(11, 15)])):
+        suite = entropy_suite(dist, base, renyi_order=1, tsallis_order=1)
+        assert suite.renyi == (1, suite.shannon)
+        assert suite.shannon == shannon_entropy(dist, base)
+        assert suite.tsallis == (1, shannon_entropy(dist, 2) * math.log(2))
+        assert suite.effective_dimension == effective_dimension(dist)
+    # The standalone functions keep refusing order 1.
+    with pytest.raises(ValueError):
+        renyi_entropy(DYADIC, 1, base)
+    with pytest.raises(ValueError):
+        tsallis_entropy(DYADIC, 1)
+
+
+# Distributions over D up to 2**4096 with non-reduced tokens, plus small D
+# (many equal counts) and one-outcome distributions.
+any_distribution = st.one_of(
+    distribution_texts(max_bits=6, max_outcomes=12), distribution_texts()
+)
+
+
+@given(any_distribution)
+@example("1")
+@example(f"2/4 1/{2**4096} {2**4095 - 1}/{2**4096}")
+def test_entropies_match_fraction_oracle(text):
+    probs = fraction_parse(text)
+    dist = parse_distribution(text)
+    assert projection_ratio(dist) == fraction_projection_ratio(probs)
+    for base in (2, 10):
+        expected = fraction_shannon_entropy(probs, base)
+        assert shannon_entropy(dist, base) == pytest.approx(expected, rel=1e-12)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from genspace import (
     ExactDistribution,
@@ -14,8 +16,19 @@ from genspace import (
     mutual_information,
     product_joint,
 )
+from genspace.distribution import parse_distribution
 from genspace.joint import format_joint, parse_joint
-from helpers import random_distribution, random_joint
+from helpers import (
+    distribution_texts,
+    fraction_independent,
+    fraction_joint_cells,
+    fraction_marginals,
+    fraction_parse,
+    fraction_shannon_entropy,
+    joint_texts,
+    random_distribution,
+    random_joint,
+)
 
 F = Fraction
 
@@ -163,3 +176,31 @@ class TestJointFile:
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             parse_joint("# only comments\n")
+
+
+@given(st.one_of(joint_texts(max_bits=6), joint_texts()))
+@example("2 2\n1/2 0\n0/7 2/4\n")
+@example("1 1\n3/3\n")
+def test_joint_matches_fraction_oracle(text):
+    cells = fraction_joint_cells(text)
+    joint = parse_joint(text)
+    assert joint.cells == cells
+    other = JointDistribution(cells)
+    assert other == joint and hash(other) == hash(joint) and other.cells == cells
+    assert joint.transpose().cells == tuple(zip(*cells))
+    assert parse_joint(format_joint(joint)) == joint
+    x, y = marginals(joint)
+    assert (x.probs, y.probs) == fraction_marginals(cells)
+    assert check_inequalities(joint).independent == fraction_independent(cells)
+    flat = [c for row in cells for c in row]
+    assert joint_entropy(joint, 2) == pytest.approx(fraction_shannon_entropy(flat), rel=1e-12)
+
+
+@given(distribution_texts(max_bits=64, max_outcomes=5), distribution_texts(max_bits=64, max_outcomes=5))
+def test_product_joint_matches_fraction_oracle(tx, ty):
+    joint = product_joint(parse_distribution(tx), parse_distribution(ty))
+    cells = tuple(tuple(p * q for q in fraction_parse(ty)) for p in fraction_parse(tx))
+    assert joint.cells == cells
+    assert JointDistribution(cells) == joint
+    assert fraction_independent(cells)
+    assert check_inequalities(joint).independent
