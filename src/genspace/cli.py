@@ -30,12 +30,7 @@ from .coding import (
     parse_code_table,
     unframe_bits,
 )
-from .distribution import (
-    ExactDistribution,
-    format_distribution,
-    generic_space,
-    parse_distribution,
-)
+from .distribution import _int_tokens, format_distribution, parse_distribution
 from .entropy import (
     DEFAULT_EXACT_LIMIT,
     combinatorial_volumes,
@@ -52,16 +47,6 @@ TABLE1_DISTRIBUTIONS = (
 )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--base", type=int, default=2, metavar="B",
-                        help="logarithm base for entropies (integer >= 2, default 2)")
-    parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT,
-                        metavar="L", help="largest dimension for exact volumes")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--seed", type=int, default=42, metavar="S",
-                        help="seed for any randomized operation")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genspace", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -73,7 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the Renyi entropy of this order")
     p.add_argument("--tsallis", type=float, metavar="Q",
                    help="also report the Tsallis entropy of this order")
-    _add_common_flags(p)
+    p.add_argument("--base", type=int, default=2, metavar="B",
+                   help="logarithm base for entropies (integer >= 2, default 2)")
+    p.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT,
+                   metavar="L", help="largest dimension for exact volumes")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(handler=run_analyze)
 
     p = sub.add_parser("code", help="prefix-code operations")
@@ -83,56 +72,48 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("dist_file", type=Path)
     b.add_argument("-o", "--output", type=Path, default=None,
                    help="code table path (default: distribution file with .code suffix)")
-    _add_common_flags(b)
+    b.add_argument("--json", action="store_true", help="emit JSON instead of text")
     b.set_defaults(handler=run_code_build)
 
     e = code_sub.add_parser("encode", help="encode symbol indices into a bit stream")
     e.add_argument("table_file", type=Path)
     e.add_argument("symbols_file", type=Path)
     e.add_argument("output_file", type=Path)
-    _add_common_flags(e)
     e.set_defaults(handler=run_code_encode)
 
     d = code_sub.add_parser("decode", help="decode a bit stream back to indices")
     d.add_argument("table_file", type=Path)
     d.add_argument("stream_file", type=Path)
     d.add_argument("output_file", type=Path, nargs="?", default=None)
-    _add_common_flags(d)
     d.set_defaults(handler=run_code_decode)
 
     p = sub.add_parser("table1", help="reference coin distributions and dimensions")
-    _add_common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(handler=run_table1)
 
     p = sub.add_parser("check", help="verify information inequalities on a joint file")
     p.add_argument("joint_file", type=Path)
-    _add_common_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(handler=run_check)
 
     return parser
 
 
-def _validate_config(args: argparse.Namespace) -> None:
+def run_analyze(args: argparse.Namespace) -> int:
     if args.base < 2:
         raise ValueError(f"--base must be an integer >= 2, got {args.base}")
     if args.exact_limit < 1:
         raise ValueError(f"--exact-limit must be >= 1, got {args.exact_limit}")
-    if not -(2**63) <= args.seed < 2**64:
-        raise ValueError(f"--seed must fit in 64 bits, got {args.seed}")
-
-
-def run_analyze(args: argparse.Namespace) -> int:
     dist = parse_distribution(args.dist_file.read_text())
-    space = generic_space(dist)
-    volumes = combinatorial_volumes(space, args.exact_limit)
+    volumes = combinatorial_volumes(dist, args.exact_limit)
     suite = entropy_suite(dist, args.base, args.renyi, args.tsallis)
     h_renyi = suite.renyi[1] if suite.renyi else None
     h_tsallis = suite.tsallis[1] if suite.tsallis else None
 
     if args.json:
         report = {
-            "D": space.dimension,
-            "counts": list(space.counts),
+            "D": dist.dimension,
+            "counts": list(dist.counts),
             "v_info": volumes.v_info,
             "v_uinfo": volumes.v_uinfo,
             "exact_computed": volumes.exact_computed,
@@ -145,13 +126,13 @@ def run_analyze(args: argparse.Namespace) -> int:
             "H_projection": suite.projection,
             "base": args.base,
         }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
         return 0
 
     print(f"distribution:        {format_distribution(dist)}")
     print(f"N (outcomes):        {dist.size}")
-    print(f"D (generic dim):     {space.dimension}")
-    print(f"counts:              {' '.join(str(c) for c in space.counts)}")
+    print(f"D (generic dim):     {dist.dimension}")
+    print(f"counts:              {' '.join(str(c) for c in dist.counts)}")
     if volumes.exact_computed:
         print(f"v_info:              {volumes.v_info}")
         print(f"v_uinfo:             {volumes.v_uinfo}")
@@ -174,7 +155,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_code_build(args: argparse.Namespace) -> int:
     dist = parse_distribution(args.dist_file.read_text())
-    code = build_generic_code(generic_space(dist))
+    code = build_generic_code(dist)
     stats = average_length(code, dist)
     out = args.output or args.dist_file.with_suffix(".code")
     out.write_text(format_code_table(code))
@@ -186,7 +167,7 @@ def run_code_build(args: argparse.Namespace) -> int:
             "average_length": f"{avg.numerator}/{avg.denominator}",
             "entropy_gap": stats.entropy_gap,
             "table": str(out),
-        }, indent=2))
+        }, indent=2, allow_nan=False))
         return 0
     print(f"wrote code table to {out}")
     print(f"avg = {avg.numerator}/{avg.denominator} ({code.mode} mode)")
@@ -197,7 +178,7 @@ def run_code_encode(args: argparse.Namespace) -> int:
     code = parse_code_table(args.table_file.read_text())
     tokens = args.symbols_file.read_text().split()
     try:
-        symbols = [int(t) for t in tokens]
+        symbols = _int_tokens(tokens)
     except ValueError:
         raise ValueError("symbols file must hold whitespace-separated integers") from None
     bits = encode(code, symbols)
@@ -223,11 +204,12 @@ def run_table1(args: argparse.Namespace) -> int:
     rows = []
     for text in TABLE1_DISTRIBUTIONS:
         dist = parse_distribution(text)
-        rows.append((text, generic_space(dist).dimension, effective_dimension(dist)))
+        rows.append((text, dist.dimension, effective_dimension(dist)))
     if args.json:
         print(json.dumps(
             [{"distribution": t, "D": d, "eff_dim": round(e, 4)} for t, d, e in rows],
             indent=2,
+            allow_nan=False,
         ))
         return 0
     print(f"{'distribution':<16} {'D':>4}  {'eff_dim':>8}")
@@ -257,7 +239,7 @@ def run_check(args: argparse.Namespace) -> int:
             "independent": report.independent,
             "verdicts": {k: ("PASS" if v else "FAIL") for k, v in verdicts.items()},
             "all_pass": report.all_pass,
-        }, indent=2))
+        }, indent=2, allow_nan=False))
     else:
         print(f"H(X)   = {report.h_x:.12g}")
         print(f"H(Y)   = {report.h_y:.12g}")
@@ -274,7 +256,6 @@ def run_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _validate_config(args)
         return args.handler(args)
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)

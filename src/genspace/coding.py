@@ -12,26 +12,10 @@ Outside the dyadic case that construction has no exact analogue; we fall
 back to Shannon lengths ceil(log2(D / count)) assigned canonically, which
 keeps the code prefix-free with average length within one bit of entropy.
 
-Streams are strings of "0"/"1" characters.  :func:`encode` is one join of
-the codewords.  :func:`decode` reads the stream through a lookup table built
-from the codewords on each call, in the manner of zlib's ``inflate`` (see
-Moffat & Turpin, "On the implementation of minimum redundancy prefix
-codes", 1997): each window of the next ``width`` bits (10, or the longest
-codeword if that is shorter) that starts with a codeword maps to its
-(symbol, codeword length), so a symbol costs one slice and one dict lookup.
-A window that starts with no codeword of at most ``width`` bits is resolved
-in a second table of the whole codewords, tried once per distinct longer
-length.  The two tables hold at most 2**10 windows plus one entry per
-codeword, never 2**(max length), and serve every prefix-free code alike:
-canonical or not, complete or not (Kraft sum < 1), with codewords of any
-length.  Building them costs about as much as the plain codeword dict of a
-bit-by-bit decoder plus up to 2**10 window entries (~0.2 ms).
-:func:`frame_bits` and :func:`unframe_bits` convert the whole stream in one
-step each way through a single big integer (``int(bits, 2)`` /
-``int.to_bytes`` and back), linear in the stream length at a few
-nanoseconds per bit; the padding is checked with one mask and stray
-characters with one ``str.translate`` pass.  The GSC1 bytes are those of a
-byte-at-a-time MSB-first packer.
+Streams are strings of "0"/"1" characters, and :func:`frame_bits` packs
+them into the GSC1 container.  :func:`decode` accepts every prefix-free
+code: canonical or not, complete or not (Kraft sum < 1), with codewords of
+any length.
 """
 
 from __future__ import annotations
@@ -42,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distribution import ExactDistribution, GenericSpace
+from .distribution import ExactDistribution, GenericSpace, _int_tokens
 from .entropy import shannon_entropy
 
 __all__ = [
@@ -167,7 +151,7 @@ def _canonical_codewords(lengths: Sequence[int]) -> tuple[str, ...]:
     return tuple(words)
 
 
-def build_generic_code(space: GenericSpace) -> PrefixCode:
+def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
     """Derive a prefix code from a generic space.
 
     Dyadic spaces (dimension and all counts powers of two) get the exact
@@ -398,7 +382,7 @@ def parse_code_table(text: str) -> PrefixCode:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'index<TAB>bitstring'")
         try:
-            index = int(parts[0])
+            index = _int_tokens(parts[:1])[0]
         except ValueError:
             raise ValueError(f"line {lineno}: malformed index {parts[0]!r}") from None
         if index in entries:

@@ -37,6 +37,15 @@ Space = tuple[int, tuple[int, ...]]  # a generic space (D, counts)
 _TOKEN_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
+def _int_tokens(tokens: Sequence[str]) -> list[int]:
+    """The values of tokens of ASCII digits [0-9]+, which int() alone does not enforce."""
+    # One check over all the tokens at once; int() itself refuses an empty one.
+    joined = "".join(tokens)
+    if joined and not (joined.isascii() and joined.isdigit()):
+        raise ValueError("malformed integer token")
+    return list(map(int, tokens))
+
+
 def _rational_token(token: str, kind: str) -> tuple[int, int]:
     """The (num, den) integers of an "n/d" or "n" token; `kind` names it in errors."""
     m = _TOKEN_RE.fullmatch(token)
@@ -132,13 +141,12 @@ class GenericSpace:
     """A uniform space of `dimension` outcomes grouped into blocks of `counts`.
 
     Collapsing block i onto a single outcome yields probability
-    counts[i] / dimension.  `labels`, when given, name the collapsed
-    outcomes (one label per count).
+    counts[i] / dimension.  Unlike a distribution, the space need not be
+    reduced: (600, (300, 300)) and (2, (1, 1)) have different volumes.
     """
 
     dimension: int
     counts: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
@@ -153,8 +161,6 @@ class GenericSpace:
             raise ValueError(
                 f"counts sum to {sum(self.counts)} but dimension is {self.dimension}"
             )
-        if self.labels is not None and len(self.labels) != len(self.counts):
-            raise ValueError("labels must match counts one-to-one")
 
     @property
     def size(self) -> int:
@@ -200,7 +206,8 @@ def collapse(dimension: int, counts: Sequence[int]) -> ExactDistribution:
     :func:`generic_space` whenever the counts are setwise coprime.
     """
     space = GenericSpace(dimension, tuple(counts))
-    return _from_space(*_common_space([(c, space.dimension) for c in space.counts]))
+    g = math.gcd(space.dimension, *space.counts)
+    return _from_space(space.dimension // g, tuple(c // g for c in space.counts))
 
 
 def tensor_product(p: ExactDistribution, q: ExactDistribution) -> ExactDistribution:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .distribution import ExactDistribution, GenericSpace, generic_space
+from .distribution import ExactDistribution, GenericSpace
 
 __all__ = [
     "VolumeReport",
@@ -41,11 +41,6 @@ __all__ = [
 #: Above this generic dimension the exact big-integer volumes are skipped
 #: and only the log-domain values are reported.
 DEFAULT_EXACT_LIMIT = 512
-
-
-def _log2_fraction(value: Fraction) -> float:
-    # Robust for numerators/denominators far outside float range.
-    return math.log2(value.numerator) - math.log2(value.denominator)
 
 
 def _check_base(base: int) -> None:
@@ -88,7 +83,7 @@ class EntropySuite:
 
 
 def combinatorial_volumes(
-    space: GenericSpace, exact_limit: int = DEFAULT_EXACT_LIMIT
+    space: GenericSpace | ExactDistribution, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> VolumeReport:
     """Compute V_info = prod(N_i^N_i) and V_uinfo = D^D for a generic space.
 
@@ -133,7 +128,7 @@ def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
     return _shannon_bits(dist.dimension, dist.counts) / math.log2(base)
 
 
-def shannon_via_ratio(space: GenericSpace, base: int = 2) -> float:
+def shannon_via_ratio(space: GenericSpace | ExactDistribution, base: int = 2) -> float:
     """Entropy as (1/D) * log_b of the volume ratio, in the log domain.
 
     Equals (D log_b D - sum(N_i log_b N_i)) / D, which matches
@@ -159,22 +154,25 @@ def _power_sum(dist: ExactDistribution, order: float) -> float:
     return sum((c / d) ** order for c in dist.counts)
 
 
+def _check_order(order: float, family: str) -> None:
+    if not (math.isfinite(order) and order > 0 and order != 1):
+        raise ValueError(f"{family} order must be finite, > 0 and != 1, got {order}")
+
+
 def renyi_entropy(dist: ExactDistribution, order: float, base: int = 2) -> float:
-    """(1 - r)^-1 * log_b(sum p_i^r) for r > 0, r != 1."""
+    """(1 - r)^-1 * log_b(sum p_i^r) for finite r > 0, r != 1."""
     _check_base(base)
-    if order <= 0 or order == 1:
-        raise ValueError(f"Renyi order must be > 0 and != 1, got {order}")
+    _check_order(order, "Renyi")
     return math.log2(_power_sum(dist, order)) / ((1.0 - order) * math.log2(base))
 
 
 def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
-    """(q - 1)^-1 * (1 - sum p_i^q) for q > 0, q != 1.
+    """(q - 1)^-1 * (1 - sum p_i^q) for finite q > 0, q != 1.
 
     Not of logarithmic form, so there is no base; the q -> 1 limit is the
     natural-log Shannon entropy.
     """
-    if order <= 0 or order == 1:
-        raise ValueError(f"Tsallis order must be > 0 and != 1, got {order}")
+    _check_order(order, "Tsallis")
     return (1.0 - _power_sum(dist, order)) / (order - 1.0)
 
 
@@ -192,11 +190,13 @@ def projection_entropy(dist: ExactDistribution, base: int = 2) -> float:
 
     Cheaper than the Shannon entropy and shares its uniform-maximum,
     additivity and grouping behaviour, but can go negative when some
-    outcome is very unlikely.
+    outcome is very unlikely.  Evaluated in the log domain from the counts,
+    as 2 log2 N + sum(log2 N_i) / N - log2 D.
     """
     _check_base(base)
     n = dist.size
-    bits = 2.0 * math.log2(n) + _log2_fraction(projection_ratio(dist)) / n
+    log2_prod = math.fsum(map(math.log2, dist.counts))
+    bits = 2.0 * math.log2(n) + log2_prod / n - math.log2(dist.dimension)
     return bits / math.log2(base)
 
 
@@ -213,8 +213,7 @@ def entropy_suite(
     `tsallis_order=1` the natural-log Shannon entropy.
     """
     _check_base(base)
-    space = generic_space(dist)
-    bits = _shannon_bits(space.dimension, space.counts)
+    bits = _shannon_bits(dist.dimension, dist.counts)
     shannon = bits / math.log2(base)
     renyi = None
     if renyi_order is not None:
@@ -226,7 +225,7 @@ def entropy_suite(
         tsallis = (tsallis_order, h)
     return EntropySuite(
         shannon=shannon,
-        shannon_via_ratio=shannon_via_ratio(space, base),
+        shannon_via_ratio=shannon_via_ratio(dist, base),
         # 2^H in bits, as effective_dimension computes it.
         effective_dimension=2.0**bits,
         projection=projection_entropy(dist, base),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import ExactDistribution, _common_space, _rational_token, collapse
+from .distribution import ExactDistribution, _common_space, _int_tokens, _rational_token, collapse
 from .entropy import _check_base, _shannon_bits, shannon_entropy
 
 __all__ = [
@@ -216,7 +216,7 @@ def parse_joint(text: str) -> JointDistribution:
     if len(header) != 2:
         raise ValueError(f"expected header 'R C', got {lines[0]!r}")
     try:
-        n_rows, n_cols = int(header[0]), int(header[1])
+        n_rows, n_cols = _int_tokens(header)
     except ValueError:
         raise ValueError(f"malformed header {lines[0]!r}") from None
     if len(lines) != n_rows + 1:

@@ -1,5 +1,6 @@
 """Seeded random generators and reference implementations shared by the tests."""
 
+import decimal
 import heapq
 import math
 import re
@@ -250,6 +251,13 @@ def fraction_projection_ratio(probs):
     return math.prod(probs, start=Fraction(1))
 
 
+def fraction_projection_entropy(probs):
+    """2 log2 N + log2(prod(p_i)) / N in bits, from the exact Fraction product."""
+    ratio = fraction_projection_ratio(probs)
+    log2_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+    return 2.0 * math.log2(len(probs)) + log2_ratio / len(probs)
+
+
 def fraction_huffman(probs):
     """Huffman codewords over a heap of Fraction weights.
 
@@ -341,3 +349,21 @@ def joint_texts(draw, max_bits=4096, max_side=5):
     counts = [[next(masses) if (r, c) in support else 0 for c in range(cols)] for r in range(rows)]
     lines = [" ".join(_token(draw, x, dimension) for x in row) for row in counts]
     return f"{rows} {cols}\n" + "\n".join(lines) + "\n"
+
+
+# --- decimal oracle ---------------------------------------------------------
+
+
+def decimal_projection_entropy(dimension, counts, base=2):
+    """log_b(N^2 * prod(c_i / D)^(1/N)) in 60-digit decimal arithmetic, as a float.
+
+    Each log(c_i / D) has at most the size of log D, so for D below
+    2**(10**6) its absolute error is under 1e-50 and only the final
+    rounding to float is left.
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        n = len(counts)
+        nats = 2 * dec(n).ln() + sum((dec(c) / dec(dimension)).ln() for c in counts) / n
+        return float(nats / dec(base).ln())

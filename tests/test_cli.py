@@ -1,11 +1,15 @@
+import argparse
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from genspace.cli import main
+from genspace import cli, unframe_bits
+from genspace.cli import build_parser, main
 
 ANALYZE_KEYS = {
     "D",
@@ -139,6 +143,14 @@ class TestAnalyze:
         assert report["H_tsallis"] == pytest.approx(tsallis, rel=1e-12)
         assert report["eff_dim"] == pytest.approx(eff_dim, rel=1e-12)
 
+    def test_json_report_refuses_nan(self, coin_dist, capsys, monkeypatch):
+        real = cli.entropy_suite
+        monkeypatch.setattr(
+            cli, "entropy_suite", lambda *args: dataclasses.replace(real(*args), projection=math.nan)
+        )
+        assert main(["analyze", str(coin_dist), "--json"]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+
     def test_overflow_exits_2_without_traceback(self, tmp_path):
         # The log-domain volumes convert D itself to float, which overflows
         # above 2^1024.
@@ -156,8 +168,18 @@ class TestAnalyze:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
-    def test_seed_flag_accepted(self, coin_dist):
-        assert main(["analyze", str(coin_dist), "--seed", "7"]) == 0
+    def test_orders_must_be_finite(self, coin_dist, capsys):
+        for flag in ("--renyi", "--tsallis"):
+            for order in ("nan", "inf", "-inf"):
+                assert main(["analyze", str(coin_dist), "--json", f"{flag}={order}"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "must be finite" in captured.err
+        # Order 1 is still the Shannon limit of both families.
+        assert main(["analyze", str(coin_dist), "--json", "--renyi", "1", "--tsallis", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["H_renyi"] == report["H_shannon"]
+        assert report["H_tsallis"] == pytest.approx(report["H_shannon"] * math.log(2), rel=1e-12)
 
 
 class TestCode:
@@ -221,6 +243,26 @@ class TestCode:
             ["code", "encode", str(table), str(symbols), str(tmp_path / "o.gsc")]
         ) == 2
 
+    @pytest.mark.parametrize("token", ["+1", "\u0661", "1_0", "-0"])
+    def test_encode_symbols_are_ascii_digits(self, shannon_dist, tmp_path, capsys, token):
+        table = tmp_path / "shannon.code"
+        symbols = tmp_path / "symbols.txt"
+        symbols.write_text(f"0 {token}\n", encoding="utf-8")
+        main(["code", "build", str(shannon_dist)])
+        assert main(
+            ["code", "encode", str(table), str(symbols), str(tmp_path / "o.gsc")]
+        ) == 2
+        assert "whitespace-separated integers" in capsys.readouterr().err
+
+    def test_encode_empty_symbols_file(self, shannon_dist, tmp_path, capsys):
+        table = tmp_path / "shannon.code"
+        symbols = tmp_path / "symbols.txt"
+        stream = tmp_path / "o.gsc"
+        symbols.write_text("\n")
+        main(["code", "build", str(shannon_dist)])
+        assert main(["code", "encode", str(table), str(symbols), str(stream)]) == 0
+        assert unframe_bits(stream.read_bytes()) == ""
+
     def test_build_output_flag(self, shannon_dist, tmp_path, capsys):
         out = tmp_path / "custom.table"
         assert main(["code", "build", str(shannon_dist), "-o", str(out)]) == 0
@@ -281,3 +323,70 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# Each command with its positional arguments, and the options it accepts
+# (with a value for those that take one).  Any other option exits 2.
+COMMAND_OPTIONS = {
+    ("analyze", "in.dist"): {
+        "--renyi": "2",
+        "--tsallis": "2",
+        "--base": "10",
+        "--exact-limit": "8",
+        "--json": None,
+    },
+    ("code", "build", "in.dist"): {"--output": "out.code", "--json": None},
+    ("code", "encode", "in.code", "in.sym", "out.gsc"): {},
+    ("code", "decode", "in.code", "in.gsc"): {},
+    ("table1",): {"--json": None},
+    ("check", "in.joint"): {"--json": None},
+}
+EVERY_OPTION = {
+    **{option: value for options in COMMAND_OPTIONS.values() for option, value in options.items()},
+    "--seed": "7",
+}
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) for every command that runs a handler."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, (*words, name))
+
+
+def test_cli_surface_is_the_nine_options():
+    registered = {
+        words: {
+            action.option_strings[-1]
+            for action in leaf._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        }
+        for words, leaf in _leaf_parsers(build_parser())
+    }
+    expected = {
+        tuple(w for w in command if "." not in w): set(options)
+        for command, options in COMMAND_OPTIONS.items()
+    }
+    assert registered == expected
+    assert sum(map(len, registered.values())) == 9
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS), ids=" ".join)
+def test_each_command_accepts_only_its_own_options(command, capsys):
+    parser = build_parser()
+    defaults = vars(parser.parse_args(list(command)))
+    accepted = COMMAND_OPTIONS[command]
+    for option, value in EVERY_OPTION.items():
+        argv = [*command, option] + ([] if value is None else [value])
+        if option in accepted:
+            # The option is read: it changes exactly one setting.
+            args = vars(parser.parse_args(argv))
+            assert [k for k in defaults if args[k] != defaults[k]] == [option[2:].replace("-", "_")]
+            continue
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err

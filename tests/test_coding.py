@@ -180,6 +180,12 @@ def test_huffman_and_average_length_match_fraction_oracle(text):
         assert average_length(c, dist).average_length == expected
 
 
+@given(st.one_of(distribution_texts(max_bits=8, max_outcomes=40), distribution_texts()))
+def test_generic_code_reads_a_distribution_as_its_space(text):
+    dist = parse_distribution(text)
+    assert build_generic_code(dist) == build_generic_code(generic_space(dist))
+
+
 class TestDyadicOptimality:
     def test_exact_mode_matches_entropy_as_rationals(self):
         rng = np.random.default_rng(73)
@@ -536,3 +542,12 @@ class TestCodeTable:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="TAB"):
             parse_code_table("0 0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+0\t0\n\u0661\t1\n", "0\t0\n\u0661\t1\n", "0\t0\n+1\t1\n", " 0\t0\n1\t1\n", "\t0\n1\t1\n"],
+    )
+    def test_index_is_ascii_digits(self, text):
+        # int() would take the signed, spaced and non-ASCII indices here.
+        with pytest.raises(ValueError, match="malformed index"):
+            parse_code_table(text)

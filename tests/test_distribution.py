@@ -148,8 +148,6 @@ class TestGenericSpaceConstruction:
             GenericSpace(2, (2, 0))
         with pytest.raises(ValueError, match="dimension"):
             GenericSpace(0, ())
-        with pytest.raises(ValueError, match="labels"):
-            GenericSpace(3, (2, 1), labels=("only-one",))
 
 
 class TestCollapse:
@@ -193,6 +191,15 @@ def test_collapse_inverts_generic_space(weights):
     dist = dist_from_weights(weights)
     space = generic_space(dist)
     assert collapse(space.dimension, space.counts) == dist
+
+
+@given(distribution_texts(), st.integers(1, 2**64), st.integers(1, 2**4096))
+@example("1", 1, 2**4096)
+def test_collapse_divides_out_a_common_factor(text, m, k):
+    dist = parse_distribution(text)
+    # (m*D, m*counts) is a space that need not be reduced; k scales it again.
+    dimension, counts = m * dist.dimension, [m * c for c in dist.counts]
+    assert collapse(k * dimension, [k * c for c in counts]) == collapse(dimension, counts) == dist
 
 
 @given(weights_lists)

@@ -22,9 +22,12 @@ from genspace import (
     tsallis_entropy,
 )
 from genspace.distribution import parse_distribution
+from genspace.entropy import DEFAULT_EXACT_LIMIT
 from helpers import (
+    decimal_projection_entropy,
     distribution_texts,
     fraction_parse,
+    fraction_projection_entropy,
     fraction_projection_ratio,
     fraction_shannon_entropy,
     random_distribution,
@@ -382,3 +385,56 @@ def test_entropies_match_fraction_oracle(text):
     for base in (2, 10):
         expected = fraction_shannon_entropy(probs, base)
         assert shannon_entropy(dist, base) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_non_finite_orders_are_refused(order):
+    for call in (
+        lambda: renyi_entropy(DYADIC, order),
+        lambda: tsallis_entropy(DYADIC, order),
+        lambda: entropy_suite(DYADIC, renyi_order=order),
+        lambda: entropy_suite(DYADIC, tsallis_order=order),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(any_distribution)
+@example("1")
+@example(f"3/{2**1100 + 1} {2**1100 - 2}/{2**1100 + 1}")
+def test_distribution_reads_as_its_generic_space(text):
+    dist = parse_distribution(text)
+    space = generic_space(dist)
+    for limit in (0, DEFAULT_EXACT_LIMIT):
+        assert _outcome(combinatorial_volumes, dist, limit) == _outcome(
+            combinatorial_volumes, space, limit
+        )
+    for base in (2, 10):
+        assert _outcome(shannon_via_ratio, dist, base) == _outcome(shannon_via_ratio, space, base)
+
+
+def _projection_bound(dist, expected):
+    return max(1.0, abs(expected)) * dist.dimension.bit_length() * 2.0**-50
+
+
+@given(any_distribution)
+@example("1")
+@example(f"1/{2**4096} {2**4096 - 1}/{2**4096}")
+@example(" ".join([f"1/{2**4096}"] * 7 + [f"{2**4096 - 7}/{2**4096}"]))
+def test_projection_entropy_matches_decimal_oracle(text):
+    dist = parse_distribution(text)
+    for base in (2, 10):
+        expected = decimal_projection_entropy(dist.dimension, dist.counts, base)
+        assert abs(projection_entropy(dist, base) - expected) <= _projection_bound(dist, expected)
+    # The exact Fraction route that the log-domain sum replaced meets the same bound.
+    expected = decimal_projection_entropy(dist.dimension, dist.counts)
+    fraction_route = fraction_projection_entropy(fraction_parse(text))
+    assert abs(fraction_route - expected) <= _projection_bound(dist, expected)

@@ -177,6 +177,12 @@ class TestJointFile:
         with pytest.raises(ValueError, match="empty"):
             parse_joint("# only comments\n")
 
+    @pytest.mark.parametrize("header", ["\u0662 +1", "2 +1", "\u0662 1", "2 1_0", "-2 1"])
+    def test_header_is_ascii_digits(self, header):
+        # int() would take the signs, "_" and non-ASCII digits here.
+        with pytest.raises(ValueError, match="malformed header"):
+            parse_joint(f"{header}\n1/2\n1/2\n")
+
 
 @given(st.one_of(joint_texts(max_bits=6), joint_texts()))
 @example("2 2\n1/2 0\n0/7 2/4\n")
