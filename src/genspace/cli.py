@@ -9,13 +9,15 @@ Commands:
   check JOINT           elementary information inequalities on a joint
 
 Exit codes: 0 success, 2 input error (including a number too large for a
-float), 3 codec/framing error, 4 an inequality check failed.
+float), 3 codec/framing error, 4 an inequality check failed.  A reader that
+closes stdout early (`genspace code decode T S | head -c1`) ends it quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -256,7 +258,12 @@ def run_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,6 @@ any length.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,17 +76,18 @@ class PrefixCode:
             raise ValueError(f"unknown code mode {self.mode!r}")
         if not self.codewords:
             raise ValueError("code needs at least one codeword")
-        for i, word in enumerate(self.codewords):
-            if set(word) - {"0", "1"}:
-                raise ValueError(f"codeword {i} is not a bitstring: {word!r}")
-            if word == "" and len(self.codewords) > 1:
-                raise ValueError("empty codeword only allowed in a one-symbol code")
+        # One check over all the words; the loop only finds the first bad one.
+        joined = "".join(self.codewords)
+        if joined.translate(_DELETE_BITS) or self.size > 1 and "" in self.codewords:
+            for i, word in enumerate(self.codewords):
+                if set(word) - {"0", "1"}:
+                    raise ValueError(f"codeword {i} is not a bitstring: {word!r}")
+                if word == "" and len(self.codewords) > 1:
+                    raise ValueError("empty codeword only allowed in a one-symbol code")
         ordered = sorted(self.codewords)
-        for shorter, longer in zip(ordered, ordered[1:]):
-            if longer.startswith(shorter):
-                raise ValueError(
-                    f"not prefix-free: {shorter!r} is a prefix of {longer!r}"
-                )
+        if any(map(str.startswith, ordered[1:], ordered)):
+            short, long = next(p for p in zip(ordered, ordered[1:]) if p[1].startswith(p[0]))
+            raise ValueError(f"not prefix-free: {short!r} is a prefix of {long!r}")
         # Prefix-freeness already forces the Kraft sum <= 1; exact mode
         # additionally promises completeness.
         if self.mode == "exact" and self.kraft_sum() != 1:
@@ -122,12 +122,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _ceil_log2_ratio(numerator: int, denominator: int) -> int:
-    """ceil(log2(numerator / denominator)) for positive integers, exactly."""
-    # denominator << length has the bit length of numerator, so it is either
-    # already >= numerator or one more doubling makes it so.
-    length = max(numerator.bit_length() - denominator.bit_length(), 0)
-    return length + ((denominator << length) < numerator)
+def _ceil_log2_ratios(numerator: int, denominators: Sequence[int]) -> list[int]:
+    """max(ceil(log2(numerator / den)), 0) for each den, over positive integers, exactly."""
+    bits = numerator.bit_length()
+    # den << k has numerator's bit length, so it is >= numerator or one doubling short.
+    return [k + ((den << k) < numerator) if (k := bits - den.bit_length()) >= 0 else 0
+            for den in denominators]
 
 
 def _canonical_codewords(lengths: Sequence[int]) -> tuple[str, ...]:
@@ -136,16 +136,17 @@ def _canonical_codewords(lengths: Sequence[int]) -> tuple[str, ...]:
     Ties between equal lengths keep original symbol order.  Requires the
     lengths to satisfy the Kraft inequality.
     """
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
     words: list[str] = [""] * len(lengths)
     code = 0
     prev_len = 0
     for i in order:
         length = lengths[i]
         code <<= length - prev_len
-        if length > 0 and code >> length:
+        if code >> length:
             raise ValueError("codeword lengths violate the Kraft inequality")
-        words[i] = format(code, f"0{length}b") if length > 0 else ""
+        # The leading 1 pads `code` to `length` bits; [3:] drops "0b1".
+        words[i] = bin(code | 1 << length)[3:]
         code += 1
         prev_len = length
     return tuple(words)
@@ -165,7 +166,8 @@ def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
     counts = space.counts
     if _is_power_of_two(d) and all(_is_power_of_two(c) for c in counts):
         total_bits = d.bit_length() - 1
-        order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+        # Descending counts; a reverse sort is still stable, so ties keep symbol order.
+        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
         words: list[str] = [""] * len(counts)
         offset = 0
         for i in order:
@@ -173,11 +175,10 @@ def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
             # offset is a multiple of counts[i] here, so the block of
             # counts[i] consecutive words shares exactly this prefix.
             prefix = offset >> (total_bits - length)
-            words[i] = format(prefix, f"0{length}b") if length > 0 else ""
+            words[i] = bin(prefix | 1 << length)[3:]
             offset += counts[i]
         return PrefixCode(tuple(words), mode="exact")
-    lengths = [_ceil_log2_ratio(d, c) for c in counts]
-    return PrefixCode(_canonical_codewords(lengths), mode="fallback")
+    return PrefixCode(_canonical_codewords(_ceil_log2_ratios(d, counts)), mode="fallback")
 
 
 def _require_bits(bits: str, error: type[ValueError]) -> None:
@@ -303,33 +304,34 @@ def huffman_oracle(dist: ExactDistribution) -> PrefixCode:
     """Textbook Huffman code over the exact weights, the integer counts c_i.
 
     The counts are the probabilities scaled by D, so every comparison of
-    merged weights comes out as it would on the rationals.  Deterministic:
-    weight ties are broken by merging the subtrees holding the lowest
-    original indices first, and the resulting lengths are assigned
-    canonically.  Serves as the independent optimality reference
-    for :func:`build_generic_code`.
+    merged weights comes out as it would on the rationals.  Two queues (van
+    Leeuwen, 1976), the sorted leaves and a FIFO of merged nodes, both keep
+    (weight, lowest original index in the subtree) order, so weight ties merge
+    the lowest indices first.  The lengths are assigned canonically.  Serves
+    as the independent optimality reference for :func:`build_generic_code`.
     """
     n = dist.size
     if n == 1:
         return PrefixCode(("",), mode="huffman")
-    # (weight, lowest original index in subtree, tree); the index is unique
-    # per node so the tree itself is never compared.
-    heap: list[tuple[int, int, object]] = [(c, i, i) for i, c in enumerate(dist.counts)]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        w1, i1, t1 = heapq.heappop(heap)
-        w2, i2, t2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, min(i1, i2), (t1, t2)))
+    # Key w * n + m orders (weight w, lowest index m) as one int; a merge adds
+    # the weights and keeps the smaller m.  Ids: sorted leaves 0..n-1, a sentinel
+    # n, then merged nodes, whose keys come out sorted (equal weights in rising m).
+    # Each merge takes the smaller front, a or b, twice; unset keys are largest.
+    keys = sorted([c * n + i for i, c in enumerate(dist.counts)])
+    keys += [(dist.dimension + 1) * n] * (n + 1)
+    up = [0] * (2 * n)
+    a, b = 0, n + 1
+    for node in range(n + 1, 2 * n):
+        p, a, b = (a, a + 1, b) if keys[a] < keys[b] else (b, a, b + 1)
+        q, a, b = (a, a + 1, b) if keys[a] < keys[b] else (b, a, b + 1)
+        up[p] = up[q] = node
+        keys[node] = keys[p] + keys[q] - max(keys[p] % n, keys[q] % n)
+    # Parents have larger ids: one reverse pass turns up[node] into its depth.
+    for node in range(2 * n - 2, -1, -1):
+        up[node] = up[up[node]] + 1
     lengths = [0] * n
-
-    stack: list[tuple[object, int]] = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, tuple):
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
-        else:
-            lengths[node] = depth
+    for leaf in range(n):
+        lengths[keys[leaf] % n] = up[leaf]
     return PrefixCode(_canonical_codewords(lengths), mode="huffman")
 
 

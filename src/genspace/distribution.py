@@ -16,7 +16,7 @@ of the probabilities are built only at the edges, on request.
 from __future__ import annotations
 
 import math
-import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -33,40 +33,52 @@ __all__ = [
 
 Space = tuple[int, tuple[int, ...]]  # a generic space (D, counts)
 
-# ASCII digits only: \d and int() would also take other Unicode digits.
-_TOKEN_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
-
 def _int_tokens(tokens: Sequence[str]) -> list[int]:
     """The values of tokens of ASCII digits [0-9]+, which int() alone does not enforce."""
     # One check over all the tokens at once; int() itself refuses an empty one.
     joined = "".join(tokens)
-    if joined and not (joined.isascii() and joined.isdigit()):
+    if joined and not (joined.isascii() and joined.encode().isdigit()):
         raise ValueError("malformed integer token")
     return list(map(int, tokens))
 
 
-def _rational_token(token: str, kind: str) -> tuple[int, int]:
-    """The (num, den) integers of an "n/d" or "n" token; `kind` names it in errors."""
-    m = _TOKEN_RE.fullmatch(token)
-    if m is None:
-        raise ValueError(f"malformed {kind} token {token!r}")
-    den = int(m.group(2) or 1)
-    if den == 0:
-        raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")
-    return int(m.group(1)), den
+def _rational_tokens(tokens: Sequence[str], kind: str, positive: bool = False) -> tuple:
+    """The numerator and denominator lists of "n/d" or "n" tokens of ASCII digits.
+
+    One check covers every token; the per-token pass after a failure, a zero
+    denominator or (with `positive`) a zero numerator names the first bad `kind` token.
+    """
+    parts = [token.partition("/") for token in tokens]
+    nums = [num for num, _, _ in parts]
+    dens = [den if slash else "1" for _, slash, den in parts]
+    # str.isdigit(), like \d and int(), would also take other Unicode digits.
+    joined = "".join(nums) + "".join(dens)
+    if (not joined or joined.isascii() and joined.encode().isdigit()) and all(nums) and all(dens):
+        with suppress(ValueError):  # a token past int()'s digit limit
+            ints = list(map(int, nums)), list(map(int, dens))
+            if 0 not in ints[1] and not (positive and 0 in ints[0]):
+                return ints
+    for token, num, den in zip(tokens, nums, dens):
+        digits = num + den
+        if not (num and den and digits.isascii() and digits.isdigit()):
+            raise ValueError(f"malformed {kind} token {token!r}")
+        if int(den) == 0:
+            raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")
+        if int(num) == 0 and positive:
+            raise ValueError(f"zero {kind} token {token!r}")
+    raise AssertionError("every token passed its own check")
 
 
-def _common_space(pairs: Sequence[tuple[int, int]], what: str = "probabilities") -> Space:
-    """The generic space of the ratios num/den of (num, den) `pairs`.
+def _common_space(nums: Sequence[int], dens: Sequence[int], what: str = "probabilities") -> Space:
+    """The generic space of the ratios nums[i] / dens[i].
 
     D is the lcm of the denominators, and the space is then divided by
     gcd(D, *counts), which makes it unique.
     """
-    if not pairs:
+    if not nums:
         raise ValueError("distribution needs at least one outcome")
-    dimension = math.lcm(*(den for _, den in pairs))
-    counts = [num * (dimension // den) for num, den in pairs]
+    dimension = math.lcm(*dens)
+    counts = [num * (dimension // den) for num, den in zip(nums, dens)]
     total = sum(counts)
     if total != dimension:
         raise ValueError(f"{what} sum to {Fraction(total, dimension)}, expected 1")
@@ -90,8 +102,8 @@ class ExactDistribution:
         for i, p in enumerate(entries):
             if p.numerator <= 0:
                 raise ValueError(f"probability at index {i} is {p}; all must be > 0")
-        pairs = [(p.numerator, p.denominator) for p in entries]
-        self.dimension, self.counts = _common_space(pairs)
+        nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
+        self.dimension, self.counts = _common_space(nums, dens)
         self._probs = entries
 
     @property
@@ -143,13 +155,17 @@ class GenericSpace:
     Collapsing block i onto a single outcome yields probability
     counts[i] / dimension.  Unlike a distribution, the space need not be
     reduced: (600, (300, 300)) and (2, (1, 1)) have different volumes.
+    The dimension and every count must be of type int (a bool is refused).
     """
 
     dimension: int
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if type(self.dimension) is not int or set(map(type, self.counts)) - {int}:
+            bad = next(x for x in (self.dimension, *self.counts) if type(x) is not int)
+            raise TypeError(f"dimension and counts must be ints, got {bad!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if not self.counts:
@@ -174,13 +190,8 @@ def parse_distribution(text: str) -> ExactDistribution:
     A '#' starts a comment that runs to the end of the line.  Tokens are
     ASCII digits; they need not be reduced.
     """
-    pairs: list[tuple[int, int]] = []
-    for line in text.splitlines():
-        for token in line.split("#", 1)[0].split():
-            pairs.append(_rational_token(token, "probability"))
-            if pairs[-1][0] == 0:
-                raise ValueError(f"zero probability token {token!r}")
-    return _from_space(*_common_space(pairs))
+    tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
+    return _from_space(*_common_space(*_rational_tokens(tokens, "probability", positive=True)))
 
 
 def format_distribution(dist: ExactDistribution) -> str:

@@ -180,7 +180,8 @@ def projection_ratio(dist: ExactDistribution) -> Fraction:
     """Exact product of all probabilities.
 
     Equals prod(N_i) / D^N: the volume of the hypercuboid with edges N_i
-    relative to the hypercube of edge D in the N-dimensional space.
+    relative to the hypercube of edge D in the N-dimensional space.  It
+    builds D**N exactly, N * log2(D) bits (125 MB at N = 1e5, D ~ 2^10000).
     """
     return Fraction(math.prod(dist.counts), dist.dimension ** dist.size)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import ExactDistribution, _common_space, _int_tokens, _rational_token, collapse
+from .distribution import ExactDistribution, _common_space, _int_tokens, _rational_tokens, collapse
 from .entropy import _check_base, _shannon_bits, shannon_entropy
 
 __all__ = [
@@ -31,19 +31,15 @@ __all__ = [
 ]
 
 
-def _common_matrix(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, tuple]:
-    """The reduced integer matrix of rows of (num, den) cells, over their lcm."""
-    if not rows or not rows[0]:
+def _common_matrix(nums: Sequence[int], dens: Sequence[int], width: int) -> tuple[int, tuple]:
+    """The reduced integer matrix, `width` cells a row, of the ratios nums[i] / dens[i]."""
+    if not nums or not width:
         raise ValueError("joint distribution must have at least one cell")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("all rows must have the same number of cells")
-    cells = [cell for row in rows for cell in row]
-    for i, (num, den) in enumerate(cells):
+    for i, num in enumerate(nums):
         if num < 0:
-            cell = Fraction(num, den)
+            cell = Fraction(num, dens[i])
             raise ValueError(f"cell ({i // width},{i % width}) is negative: {cell}")
-    dimension, flat = _common_space(cells, "cells")
+    dimension, flat = _common_space(nums, dens, "cells")
     counts = tuple(zip(*[iter(flat)] * width))
     for what, lines in (("row", counts), ("column", zip(*counts))):
         for i, line in enumerate(lines):
@@ -64,8 +60,12 @@ class JointDistribution:
 
     def __init__(self, cells: Iterable[Iterable[Fraction | int]]):
         rows = tuple(tuple(Fraction(c) for c in row) for row in cells)
-        pairs = [[(c.numerator, c.denominator) for c in row] for row in rows]
-        self.dimension, self.counts = _common_matrix(pairs)
+        width = len(rows[0]) if rows else 0
+        if width and any(len(row) != width for row in rows):
+            raise ValueError("all rows must have the same number of cells")
+        flat = [c for row in rows for c in row]
+        nums, dens = [c.numerator for c in flat], [c.denominator for c in flat]
+        self.dimension, self.counts = _common_matrix(nums, dens, width)
         self._cells = rows
 
     @property
@@ -205,11 +205,7 @@ def parse_joint(text: str) -> JointDistribution:
 
     '#' comments run to end of line; blank lines are skipped.
     """
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
+    lines = [body for raw in text.splitlines() if (body := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ValueError("empty joint file")
     header = lines[0].split()
@@ -221,13 +217,15 @@ def parse_joint(text: str) -> JointDistribution:
         raise ValueError(f"malformed header {lines[0]!r}") from None
     if len(lines) != n_rows + 1:
         raise ValueError(f"expected {n_rows} joint rows, got {len(lines) - 1}")
-    cells = []
+    tokens: list[str] = []
     for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != n_cols:
-            raise ValueError(f"expected {n_cols} cells per row, got {len(tokens)}: {line!r}")
-        cells.append([_rational_token(t, "rational") for t in tokens])
-    return _from_matrix(*_common_matrix(cells))
+        row = line.split()
+        if len(row) != n_cols:
+            # A malformed token in an earlier row is the first error.
+            _rational_tokens(tokens, "rational")
+            raise ValueError(f"expected {n_cols} cells per row, got {len(row)}: {line!r}")
+        tokens += row
+    return _from_matrix(*_common_matrix(*_rational_tokens(tokens, "rational"), n_cols))
 
 
 def format_joint(joint: JointDistribution) -> str:

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution
-from genspace.coding import _canonical_codewords
+from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution, PrefixCode
+from genspace.distribution import _int_tokens
 
 
 def random_composition(rng, total, parts):
@@ -208,10 +208,11 @@ def reference_sample(psi, seed, draws):
     return [int(c) for c in np.bincount(outcomes, minlength=psi.size)]
 
 
-# --- Fraction oracles -------------------------------------------------------
+# --- Fraction and per-item oracles -------------------------------------------
 # The rational-arithmetic implementations the library used before it stored
-# distributions and joints as integer generic spaces; the differential tests
-# compare the integer code with them.
+# distributions and joints as integer generic spaces, and the heap Huffman,
+# code builders and regex token parsers it used before its linear passes; the
+# differential tests compare the library with them, results and messages.
 
 _ORACLE_TOKEN = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
@@ -258,16 +259,18 @@ def fraction_projection_entropy(probs):
     return 2.0 * math.log2(len(probs)) + log2_ratio / len(probs)
 
 
-def fraction_huffman(probs):
-    """Huffman codewords over a heap of Fraction weights.
+def heap_huffman_lengths(weights):
+    """Huffman codeword lengths from a heap of (weight, lowest index, tree) nodes.
 
-    Ties go to the subtree holding the lowest original index; the lengths
-    are assigned canonically.
+    The construction `huffman_oracle` used before its two-queue one: ties
+    go to the subtree holding the lowest original index, and the lengths
+    are read off by walking the tuple tree.
     """
-    n = len(probs)
+    n = len(weights)
     if n == 1:
-        return ("",)
-    heap = [(p, i, i) for i, p in enumerate(probs)]
+        return [0]
+    # The index is unique per node, so the tree itself is never compared.
+    heap = [(w, i, i) for i, w in enumerate(weights)]
     heapq.heapify(heap)
     while len(heap) > 1:
         w1, i1, t1 = heapq.heappop(heap)
@@ -282,7 +285,69 @@ def fraction_huffman(probs):
             stack.append((node[1], depth + 1))
         else:
             lengths[node] = depth
-    return _canonical_codewords(lengths)
+    return lengths
+
+
+def fraction_huffman(probs):
+    """Huffman codewords over a heap of Fraction weights, assigned canonically."""
+    return reference_canonical_codewords(heap_huffman_lengths(probs))
+
+
+def heap_huffman(dist):
+    """`huffman_oracle` as built from a heap over the integer counts."""
+    return PrefixCode(reference_canonical_codewords(heap_huffman_lengths(dist.counts)), "huffman")
+
+
+def reference_canonical_codewords(lengths):
+    """Canonical codewords, sorted by the key (length, index) and written with format()."""
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    words = [""] * len(lengths)
+    code = 0
+    prev_len = 0
+    for i in order:
+        length = lengths[i]
+        code <<= length - prev_len
+        if length > 0 and code >> length:
+            raise ValueError("codeword lengths violate the Kraft inequality")
+        words[i] = format(code, f"0{length}b") if length > 0 else ""
+        code += 1
+        prev_len = length
+    return tuple(words)
+
+
+def reference_generic_code(space):
+    """`build_generic_code` with a key sort per symbol and one length call per count."""
+    d, counts = space.dimension, space.counts
+    if d & (d - 1) == 0 and all(c & (c - 1) == 0 for c in counts):
+        total_bits = d.bit_length() - 1
+        order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+        words = [""] * len(counts)
+        offset = 0
+        for i in order:
+            length = total_bits - (counts[i].bit_length() - 1)
+            prefix = offset >> (total_bits - length)
+            words[i] = format(prefix, f"0{length}b") if length > 0 else ""
+            offset += counts[i]
+        return PrefixCode(tuple(words), mode="exact")
+    lengths = []
+    for c in counts:
+        length = max(d.bit_length() - c.bit_length(), 0)
+        lengths.append(length + ((c << length) < d))
+    return PrefixCode(reference_canonical_codewords(lengths), mode="fallback")
+
+
+def reference_prefix_code_error(words):
+    """The message `PrefixCode(words, "fallback")` raises, by the per-word checks, or None."""
+    for i, word in enumerate(words):
+        if set(word) - {"0", "1"}:
+            return f"codeword {i} is not a bitstring: {word!r}"
+        if word == "" and len(words) > 1:
+            return "empty codeword only allowed in a one-symbol code"
+    ordered = sorted(words)
+    for shorter, longer in zip(ordered, ordered[1:]):
+        if longer.startswith(shorter):
+            return f"not prefix-free: {shorter!r} is a prefix of {longer!r}"
+    return None
 
 
 def fraction_joint_cells(text):
@@ -301,6 +366,56 @@ def fraction_independent(cells):
     """Every cell equals the product of its marginals, as rationals."""
     x, y = fraction_marginals(cells)
     return all(cell == x[r] * y[c] for r, row in enumerate(cells) for c, cell in enumerate(row))
+
+
+def _regex_token(token, kind):
+    """(num, den) of one token by the regex, with the messages of the parsers."""
+    m = _ORACLE_TOKEN.fullmatch(token)
+    if m is None:
+        raise ValueError(f"malformed {kind} token {token!r}")
+    den = int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")
+    return int(m.group(1)), den
+
+
+def regex_parse_distribution(text):
+    """`parse_distribution` reading one token at a time with a regex."""
+    probs = []
+    for line in text.splitlines():
+        for token in line.split("#", 1)[0].split():
+            num, den = _regex_token(token, "probability")
+            if num == 0:
+                raise ValueError(f"zero probability token {token!r}")
+            probs.append(Fraction(num, den))
+    return ExactDistribution(probs)
+
+
+def regex_parse_joint(text):
+    """`parse_joint` reading one row, then one token, at a time with a regex."""
+    lines = []
+    for raw in text.splitlines():
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append(body)
+    if not lines:
+        raise ValueError("empty joint file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"expected header 'R C', got {lines[0]!r}")
+    try:
+        n_rows, n_cols = _int_tokens(header)
+    except ValueError:
+        raise ValueError(f"malformed header {lines[0]!r}") from None
+    if len(lines) != n_rows + 1:
+        raise ValueError(f"expected {n_rows} joint rows, got {len(lines) - 1}")
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n_cols:
+            raise ValueError(f"expected {n_cols} cells per row, got {len(tokens)}: {line!r}")
+        rows.append([Fraction(*_regex_token(t, "rational")) for t in tokens])
+    return JointDistribution(rows)
 
 
 def _token(draw, count, dimension):

@@ -1,14 +1,20 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genspace import cli, unframe_bits
+from genspace import cli, frame_bits, unframe_bits
 from genspace.cli import build_parser, main
 
 ANALYZE_KEYS = {
@@ -390,3 +396,73 @@ def test_each_command_accepts_only_its_own_options(command, capsys):
             main(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def _cli_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+
+@pytest.mark.parametrize("command", ["decode", "table1"])
+def test_closed_stdout_ends_quietly(command, shannon_dist, tmp_path, capsys):
+    """A reader that leaves early (`| head -c1`) gets no traceback, and the exit code is 0."""
+    argv = ["table1", "--json"]
+    if command == "decode":
+        table, symbols, stream = tmp_path / "t.code", tmp_path / "s.txt", tmp_path / "s.gsc"
+        symbols.write_text(" ".join(str(i % 4) for i in range(200_000)))
+        assert main(["code", "build", str(shannon_dist), "-o", str(table)]) == 0
+        assert main(["code", "encode", str(table), str(symbols), str(stream)]) == 0
+        capsys.readouterr()
+        argv = ["code", "decode", str(table), str(stream)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genspace.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    # Closed before the child can have written anything, so its every write fails.
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# Each command with {0} and {1} for its input files and {2} for an output.
+FUZZED_COMMANDS = [
+    ("analyze", "{0}"),
+    ("analyze", "{0}", "--json"),
+    ("check", "{0}"),
+    ("check", "{0}", "--json"),
+    ("code", "build", "{0}", "-o", "{2}"),
+    ("code", "build", "{0}", "-o", "{2}", "--json"),
+    ("code", "encode", "{0}", "{1}", "{2}"),
+    ("code", "decode", "{0}", "{1}"),
+]
+# Arbitrary bytes, and text over the alphabet of every file format, which
+# reaches past the first check far more often.
+file_bytes = (
+    st.binary(max_size=48)
+    | st.text("0123456789/ \t\n#-+x", max_size=48).map(str.encode)
+    | st.text("01", max_size=40).map(frame_bits)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(FUZZED_COMMANDS), file_bytes, file_bytes)
+def test_fuzzed_file_arguments_exit_cleanly(command, first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("first", "second", "out")]
+        paths[0].write_bytes(first)
+        paths[1].write_bytes(second)
+        argv = [word.format(*paths) for word in command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+    assert status in {0, 2, 3, 4}
+    if status in (2, 3):
+        assert err.getvalue().startswith("error: ")
+    elif "--json" in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

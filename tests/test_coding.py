@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genspace import (
@@ -24,7 +24,7 @@ from genspace import (
 )
 from genspace.coding import (
     _canonical_codewords,
-    _ceil_log2_ratio,
+    _ceil_log2_ratios,
     _kraft_sum,
     format_code_table,
     parse_code_table,
@@ -34,9 +34,12 @@ from helpers import (
     distribution_texts,
     fraction_huffman,
     fraction_parse,
+    heap_huffman,
     random_distribution,
     random_dyadic_space,
     reference_decode,
+    reference_generic_code,
+    reference_prefix_code_error,
 )
 
 F = Fraction
@@ -184,6 +187,51 @@ def test_huffman_and_average_length_match_fraction_oracle(text):
 def test_generic_code_reads_a_distribution_as_its_space(text):
     dist = parse_distribution(text)
     assert build_generic_code(dist) == build_generic_code(generic_space(dist))
+
+
+# Counts drawn mostly from a few small values, so that equal weights, and
+# equal merged weights, are common.
+tied_counts = st.lists(
+    st.sampled_from([1, 1, 1, 2, 2, 3, 4, 6, 8]) | st.integers(1, 2**70), min_size=1, max_size=1000
+)
+
+
+def dyadic_counts(exponents):
+    """Powers of two 2**e, padded with the binary digits of what is left up to a power of two."""
+    counts = [1 << e for e in exponents]
+    total = sum(counts)
+    pad = (1 << (total - 1).bit_length()) - total
+    return counts + [1 << k for k in range(pad.bit_length()) if pad >> k & 1]
+
+
+@settings(deadline=None)
+@given(tied_counts)
+@example([1] * 1000)
+@example([2, 1, 1, 2, 3, 3, 1])
+def test_huffman_matches_heap_oracle(counts):
+    dist = collapse(sum(counts), counts)
+    assert huffman_oracle(dist) == heap_huffman(dist)
+
+
+@settings(deadline=None)
+@given(tied_counts | st.lists(st.integers(0, 12), min_size=1, max_size=1000).map(dyadic_counts))
+@example([1] * 1024)
+def test_generic_code_matches_reference(counts):
+    space = GenericSpace(sum(counts), tuple(counts))
+    assert build_generic_code(space) == reference_generic_code(space)
+
+
+@given(st.lists(st.text("01x", max_size=5), min_size=1, max_size=8))
+@example(["", "1x"])
+@example(["0x", ""])
+def test_prefix_code_checks_match_per_word_reference(words):
+    expected = reference_prefix_code_error(words)
+    if expected is None:
+        PrefixCode(tuple(words), mode="fallback")
+        return
+    with pytest.raises(ValueError) as excinfo:
+        PrefixCode(tuple(words), mode="fallback")
+    assert str(excinfo.value) == expected
 
 
 class TestDyadicOptimality:
@@ -388,7 +436,7 @@ def test_ceil_log2_ratio_matches_shift_loop(numerator, data):
     length = 0
     while (denominator << length) < numerator:
         length += 1
-    assert _ceil_log2_ratio(numerator, denominator) == length
+    assert _ceil_log2_ratios(numerator, [denominator]) == [length]
 
 
 class TestPrefixCodeValidation:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genspace import (
@@ -16,7 +16,14 @@ from genspace import (
     tensor_product,
 )
 from genspace.joint import parse_joint
-from helpers import distribution_texts, fraction_generic_space, fraction_parse
+from helpers import (
+    distribution_texts,
+    fraction_generic_space,
+    fraction_parse,
+    joint_texts,
+    regex_parse_distribution,
+    regex_parse_joint,
+)
 
 F = Fraction
 
@@ -140,6 +147,19 @@ class TestGenericSpaceConstruction:
                 space.dimension,
                 space.counts,
             )
+
+    def test_field_types(self):
+        for dimension, counts in [
+            (3, (2.9, 1.2)),
+            (True, (True,)),
+            (2, (1, True)),
+            (3.0, (2, 1)),
+            (4, (2, np.int64(2))),
+            ("3", (2, 1)),
+        ]:
+            with pytest.raises(TypeError, match="must be ints"):
+                GenericSpace(dimension, counts)
+        assert GenericSpace(3, [2, 1]).counts == (2, 1)
 
     def test_type_validation(self):
         with pytest.raises(ValueError, match="sum to 3"):
@@ -302,3 +322,59 @@ def test_tensor_product_matches_fraction_products(tp, tq):
     expected = tuple(a * b for a in fraction_parse(tp) for b in fraction_parse(tq))
     assert prod.probs == expected
     assert (prod.dimension, prod.counts) == fraction_generic_space(expected)
+
+
+# Tokens past int()'s default 4300-digit limit make int() raise, so they also
+# test that the parsers report the first bad token in file order.
+LONG = "9" * 4400
+TOKEN_POOL = [token for token, _ in TOKENS] + [LONG, f"1/{LONG}", "0/" + LONG, "1/1"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def token_files(draw):
+    """Tokens from TOKEN_POOL or arbitrary short text, between blanks, newlines and comments."""
+    tokens = draw(st.lists(st.sampled_from(TOKEN_POOL) | st.text(max_size=3), max_size=8))
+    sep = st.sampled_from([" ", "\n", "\t", " # note\n"])
+    seps = draw(st.lists(sep, min_size=len(tokens), max_size=len(tokens)))
+    return "".join(t + s for t, s in zip(tokens, seps))
+
+
+@st.composite
+def joint_token_files(draw):
+    """A joint header and rows of pool tokens; row and cell counts are often wrong."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    header = draw(st.sampled_from([f"{rows} {cols}"] * 3 + [f"+{rows} {cols}", f"{rows}", "x y"]))
+    lines = [header]
+    for _ in range(draw(st.sampled_from([rows, rows, rows + 1, max(rows - 1, 0)]))):
+        n = draw(st.sampled_from([cols, cols, cols + 1, max(cols - 1, 0)]))
+        lines.append(" ".join(draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=n, max_size=n))))
+    return "\n".join(lines)
+
+
+@settings(deadline=None)
+@given(distribution_texts(max_bits=64) | token_files())
+@example("0 +1")
+@example("+1 0")
+@example(f"0 {LONG}")
+@example(f"1/0 {LONG}")
+@example("1//2 /")
+@example("1/2 0/0")
+@example("1/2 0 1/2")
+def test_parse_distribution_matches_regex_reference(text):
+    assert _outcome(parse_distribution, text) == _outcome(regex_parse_distribution, text)
+
+
+@settings(deadline=None)
+@given(joint_texts(max_bits=64) | joint_token_files())
+@example("2 2\n+1 1\n1\n")
+@example("2 2\n1 1\n1/0 0\n")
+@example("0 3\n")
+def test_parse_joint_matches_regex_reference(text):
+    assert _outcome(parse_joint, text) == _outcome(regex_parse_joint, text)
