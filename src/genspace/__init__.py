@@ -12,54 +12,16 @@ The Born-rule names (and ``genspace.born``) load on first use, so that
 
 import importlib
 
-from .coding import (
-    CodeStats,
-    DecodeError,
-    PrefixCode,
-    average_length,
-    build_generic_code,
-    decode,
-    encode,
-    frame_bits,
-    huffman_oracle,
-    unframe_bits,
-)
-from .distribution import (
-    ExactDistribution,
-    GenericSpace,
-    collapse,
-    format_distribution,
-    generic_space,
-    parse_distribution,
-    tensor_product,
-)
-from .entropy import (
-    EntropySuite,
-    VolumeReport,
-    combinatorial_volumes,
-    effective_dimension,
-    entropy_suite,
-    projection_entropy,
-    projection_ratio,
-    renyi_entropy,
-    shannon_entropy,
-    shannon_via_ratio,
-    tsallis_entropy,
-)
-from .joint import (
-    InequalityReport,
-    JointDistribution,
-    check_inequalities,
-    conditional_entropy,
-    joint_entropy,
-    marginals,
-    mutual_information,
-    product_joint,
-)
+from . import coding, distribution, entropy, joint
+from .coding import *
+from .distribution import *
+from .entropy import *
+from .joint import *
 
 __version__ = "0.1.0"
 
-# Resolved from genspace.born by __getattr__ (PEP 562) on first access.
+# genspace.born.__all__, resolved by __getattr__ (PEP 562) on first access;
+# reading born.__all__ itself would import numpy.
 _BORN_NAMES = (
     "JspsVector",
     "DensityMatrix",
@@ -71,47 +33,11 @@ _BORN_NAMES = (
     "measure",
     "validate_density",
     "sample",
+    "parse_matrix",
+    "format_matrix",
 )
 
-__all__ = [
-    "ExactDistribution",
-    "GenericSpace",
-    "parse_distribution",
-    "format_distribution",
-    "generic_space",
-    "collapse",
-    "tensor_product",
-    "VolumeReport",
-    "EntropySuite",
-    "combinatorial_volumes",
-    "shannon_entropy",
-    "shannon_via_ratio",
-    "effective_dimension",
-    "renyi_entropy",
-    "tsallis_entropy",
-    "projection_ratio",
-    "projection_entropy",
-    "entropy_suite",
-    *_BORN_NAMES,
-    "PrefixCode",
-    "CodeStats",
-    "DecodeError",
-    "build_generic_code",
-    "encode",
-    "decode",
-    "average_length",
-    "huffman_oracle",
-    "frame_bits",
-    "unframe_bits",
-    "JointDistribution",
-    "InequalityReport",
-    "product_joint",
-    "marginals",
-    "joint_entropy",
-    "conditional_entropy",
-    "mutual_information",
-    "check_inequalities",
-]
+__all__ = [*distribution.__all__, *entropy.__all__, *_BORN_NAMES, *coding.__all__, *joint.__all__]
 
 
 def __getattr__(name: str):

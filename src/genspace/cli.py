@@ -101,9 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(value: object) -> None:
+    """Print `value` as indented JSON; NaN or infinity raises ValueError (exit 2)."""
+    print(json.dumps(value, indent=2, allow_nan=False))
+
+
 def run_analyze(args: argparse.Namespace) -> int:
-    if args.base < 2:
-        raise ValueError(f"--base must be an integer >= 2, got {args.base}")
     if args.exact_limit < 1:
         raise ValueError(f"--exact-limit must be >= 1, got {args.exact_limit}")
     dist = parse_distribution(args.dist_file.read_text())
@@ -128,7 +131,7 @@ def run_analyze(args: argparse.Namespace) -> int:
             "H_projection": suite.projection,
             "base": args.base,
         }
-        print(json.dumps(report, indent=2, allow_nan=False))
+        _print_json(report)
         return 0
 
     print(f"distribution:        {format_distribution(dist)}")
@@ -163,13 +166,13 @@ def run_code_build(args: argparse.Namespace) -> int:
     out.write_text(format_code_table(code))
     avg = stats.average_length
     if args.json:
-        print(json.dumps({
+        _print_json({
             "mode": code.mode,
             "codewords": list(code.codewords),
             "average_length": f"{avg.numerator}/{avg.denominator}",
             "entropy_gap": stats.entropy_gap,
             "table": str(out),
-        }, indent=2, allow_nan=False))
+        })
         return 0
     print(f"wrote code table to {out}")
     print(f"avg = {avg.numerator}/{avg.denominator} ({code.mode} mode)")
@@ -208,11 +211,7 @@ def run_table1(args: argparse.Namespace) -> int:
         dist = parse_distribution(text)
         rows.append((text, dist.dimension, effective_dimension(dist)))
     if args.json:
-        print(json.dumps(
-            [{"distribution": t, "D": d, "eff_dim": round(e, 4)} for t, d, e in rows],
-            indent=2,
-            allow_nan=False,
-        ))
+        _print_json([{"distribution": t, "D": d, "eff_dim": round(e, 4)} for t, d, e in rows])
         return 0
     print(f"{'distribution':<16} {'D':>4}  {'eff_dim':>8}")
     for text, dim, eff in rows:
@@ -230,7 +229,7 @@ def run_check(args: argparse.Namespace) -> int:
         "independence => I == 0": report.independence_consistent,
     }
     if args.json:
-        print(json.dumps({
+        _print_json({
             "H_x": report.h_x,
             "H_y": report.h_y,
             "H_joint": report.h_joint,
@@ -241,7 +240,7 @@ def run_check(args: argparse.Namespace) -> int:
             "independent": report.independent,
             "verdicts": {k: ("PASS" if v else "FAIL") for k, v in verdicts.items()},
             "all_pass": report.all_pass,
-        }, indent=2, allow_nan=False))
+        })
     else:
         print(f"H(X)   = {report.h_x:.12g}")
         print(f"H(Y)   = {report.h_y:.12g}")

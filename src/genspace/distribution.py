@@ -16,6 +16,7 @@ of the probabilities are built only at the edges, on request.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,8 @@ def _rational_tokens(tokens: Sequence[str], kind: str, positive: bool = False) -
     """The numerator and denominator lists of "n/d" or "n" tokens of ASCII digits.
 
     One check covers every token; the per-token pass after a failure, a zero
-    denominator or (with `positive`) a zero numerator names the first bad `kind` token.
+    denominator, (with `positive`) a zero numerator or a part past int()'s digit
+    limit names the first bad `kind` token.
     """
     parts = [token.partition("/") for token in tokens]
     nums = [num for num, _, _ in parts]
@@ -58,10 +60,15 @@ def _rational_tokens(tokens: Sequence[str], kind: str, positive: bool = False) -
             ints = list(map(int, nums)), list(map(int, dens))
             if 0 not in ints[1] and not (positive and 0 in ints[0]):
                 return ints
+    # Python versions without the limit have no such function; 0 means no limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     for token, num, den in zip(tokens, nums, dens):
         digits = num + den
         if not (num and den and digits.isascii() and digits.isdigit()):
             raise ValueError(f"malformed {kind} token {token!r}")
+        if limit and (n := max(len(num), len(den))) > limit:
+            detail = f"({n} digits; at most {limit})"
+            raise ValueError(f"malformed {kind} token '{token[:20]}...' {detail}")
         if int(den) == 0:
             raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")
         if int(num) == 0 and positive:
@@ -86,7 +93,32 @@ def _common_space(nums: Sequence[int], dens: Sequence[int], what: str = "probabi
     return dimension // g, tuple(c // g for c in counts)
 
 
-class ExactDistribution:
+class _ReducedSpace:
+    """A reduced integer space: `dimension` D and the `counts` over it.
+
+    The reduced form is unique, so equality and hashing read (D, counts),
+    and only within one subclass.  `_view` caches the `Fraction` view.
+    """
+
+    __slots__ = ("dimension", "counts", "_view")
+
+    @classmethod
+    def _of(cls, dimension: int, counts: tuple):
+        """Wrap a valid, reduced space without re-checking it."""
+        obj = cls.__new__(cls)
+        obj.dimension, obj.counts, obj._view = dimension, counts, None
+        return obj
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dimension == other.dimension and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.dimension, self.counts))
+
+
+class ExactDistribution(_ReducedSpace):
     """An ordered list of strictly positive rationals that sum to exactly 1.
 
     Stored as its reduced generic space: `dimension` D and integer
@@ -95,7 +127,7 @@ class ExactDistribution:
     reduced `Fraction` view, is built on first use.
     """
 
-    __slots__ = ("dimension", "counts", "_probs")
+    __slots__ = ()
 
     def __init__(self, probs: Iterable[Fraction | int]):
         entries = tuple(Fraction(p) for p in probs)
@@ -104,15 +136,15 @@ class ExactDistribution:
                 raise ValueError(f"probability at index {i} is {p}; all must be > 0")
         nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
         self.dimension, self.counts = _common_space(nums, dens)
-        self._probs = entries
+        self._view = entries
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
         """The probabilities as reduced fractions counts[i] / dimension."""
-        if self._probs is None:
+        if self._view is None:
             d = self.dimension
-            self._probs = tuple(Fraction(c, d) for c in self.counts)
-        return self._probs
+            self._view = tuple(Fraction(c, d) for c in self.counts)
+        return self._view
 
     @property
     def size(self) -> int:
@@ -128,24 +160,8 @@ class ExactDistribution:
     def __getitem__(self, index: int) -> Fraction:
         return self.probs[index]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactDistribution):
-            return NotImplemented
-        # The reduced generic space is unique, so this is equality of probs.
-        return self.dimension == other.dimension and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, self.counts))
-
     def __repr__(self) -> str:
         return f"ExactDistribution({format_distribution(self)!r})"
-
-
-def _from_space(dimension: int, counts: tuple[int, ...]) -> ExactDistribution:
-    """Wrap a valid, reduced generic space without re-checking it."""
-    dist = ExactDistribution.__new__(ExactDistribution)
-    dist.dimension, dist.counts, dist._probs = dimension, counts, None
-    return dist
 
 
 @dataclass(frozen=True)
@@ -191,7 +207,8 @@ def parse_distribution(text: str) -> ExactDistribution:
     ASCII digits; they need not be reduced.
     """
     tokens = [token for line in text.splitlines() for token in line.split("#", 1)[0].split()]
-    return _from_space(*_common_space(*_rational_tokens(tokens, "probability", positive=True)))
+    nums, dens = _rational_tokens(tokens, "probability", positive=True)
+    return ExactDistribution._of(*_common_space(nums, dens))
 
 
 def format_distribution(dist: ExactDistribution) -> str:
@@ -218,12 +235,12 @@ def collapse(dimension: int, counts: Sequence[int]) -> ExactDistribution:
     """
     space = GenericSpace(dimension, tuple(counts))
     g = math.gcd(space.dimension, *space.counts)
-    return _from_space(space.dimension // g, tuple(c // g for c in space.counts))
+    return ExactDistribution._of(space.dimension // g, tuple(c // g for c in space.counts))
 
 
 def tensor_product(p: ExactDistribution, q: ExactDistribution) -> ExactDistribution:
     """Joint distribution of two independent variables, row-major order."""
     # gcd(a_i * b_j) = gcd(a) * gcd(b) = 1, so the product space is reduced.
-    return _from_space(
+    return ExactDistribution._of(
         p.dimension * q.dimension, tuple(a * b for a in p.counts for b in q.counts)
     )

@@ -11,8 +11,10 @@ uncertainty.
 Every formula reads the integer generic space (D, counts) of the
 distribution; a probability becomes the float c / D (the correctly rounded
 quotient of two integers) only inside the final logarithm or
-multiplication, so the direct-formula and volume-ratio routes agree to
-~1e-12 at any dimension the exact path can reach.
+multiplication.  The tests hold the direct-formula and volume-ratio routes
+to an absolute difference of 1e-9 for D <= 512 (acceptance criterion 3);
+near-certain inputs with a large D lose digits to cancellation in both
+routes (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -131,8 +133,10 @@ def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
 def shannon_via_ratio(space: GenericSpace | ExactDistribution, base: int = 2) -> float:
     """Entropy as (1/D) * log_b of the volume ratio, in the log domain.
 
-    Equals (D log_b D - sum(N_i log_b N_i)) / D, which matches
-    :func:`shannon_entropy` of the collapsed distribution to ~1e-12.
+    Equals (D log_b D - sum(N_i log_b N_i)) / D.  The tests hold it within
+    1e-9 of :func:`shannon_entropy` of the collapsed distribution for
+    D <= 512; near-certain inputs with a large D lose digits to
+    cancellation (ROADMAP item 1).
     """
     _check_base(base)
     bits = combinatorial_volumes(space, exact_limit=0).log2_ratio

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import ExactDistribution, _common_space, _int_tokens, _rational_tokens, collapse
+from .distribution import (
+    ExactDistribution,
+    _common_space,
+    _int_tokens,
+    _rational_tokens,
+    _ReducedSpace,
+    collapse,
+    tensor_product,
+)
 from .entropy import _check_base, _shannon_bits, shannon_entropy
 
 __all__ = [
@@ -31,6 +39,11 @@ __all__ = [
 ]
 
 
+def _rows(flat: Sequence[int], width: int) -> tuple:
+    """`flat` cut into rows of `width` cells, in row-major order."""
+    return tuple(zip(*[iter(flat)] * width))
+
+
 def _common_matrix(nums: Sequence[int], dens: Sequence[int], width: int) -> tuple[int, tuple]:
     """The reduced integer matrix, `width` cells a row, of the ratios nums[i] / dens[i]."""
     if not nums or not width:
@@ -40,7 +53,7 @@ def _common_matrix(nums: Sequence[int], dens: Sequence[int], width: int) -> tupl
             cell = Fraction(num, dens[i])
             raise ValueError(f"cell ({i // width},{i % width}) is negative: {cell}")
     dimension, flat = _common_space(nums, dens, "cells")
-    counts = tuple(zip(*[iter(flat)] * width))
+    counts = _rows(flat, width)
     for what, lines in (("row", counts), ("column", zip(*counts))):
         for i, line in enumerate(lines):
             if not any(line):
@@ -48,7 +61,7 @@ def _common_matrix(nums: Sequence[int], dens: Sequence[int], width: int) -> tupl
     return dimension, counts
 
 
-class JointDistribution:
+class JointDistribution(_ReducedSpace):
     """An R x C matrix of non-negative rationals summing to exactly 1.
 
     Stored as `dimension` D and the integer matrix `counts`, with cell
@@ -56,7 +69,7 @@ class JointDistribution:
     view, built on first use.
     """
 
-    __slots__ = ("dimension", "counts", "_cells")
+    __slots__ = ()
 
     def __init__(self, cells: Iterable[Iterable[Fraction | int]]):
         rows = tuple(tuple(Fraction(c) for c in row) for row in cells)
@@ -66,14 +79,14 @@ class JointDistribution:
         flat = [c for row in rows for c in row]
         nums, dens = [c.numerator for c in flat], [c.denominator for c in flat]
         self.dimension, self.counts = _common_matrix(nums, dens, width)
-        self._cells = rows
+        self._view = rows
 
     @property
     def cells(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._cells is None:
+        if self._view is None:
             d = self.dimension
-            self._cells = tuple(tuple(Fraction(c, d) for c in r) for r in self.counts)
-        return self._cells
+            self._view = tuple(tuple(Fraction(c, d) for c in r) for r in self.counts)
+        return self._view
 
     @property
     def rows(self) -> int:
@@ -84,32 +97,13 @@ class JointDistribution:
         return len(self.counts[0])
 
     def transpose(self) -> "JointDistribution":
-        return _from_matrix(self.dimension, tuple(zip(*self.counts)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JointDistribution):
-            return NotImplemented
-        # The reduced matrix is unique, so this is equality of cells.
-        return self.dimension == other.dimension and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, self.counts))
-
-
-def _from_matrix(dimension: int, counts: tuple) -> JointDistribution:
-    """Wrap a valid, reduced integer matrix without re-checking it."""
-    joint = JointDistribution.__new__(JointDistribution)
-    joint.dimension, joint.counts, joint._cells = dimension, counts, None
-    return joint
+        return JointDistribution._of(self.dimension, tuple(zip(*self.counts)))
 
 
 def product_joint(px: ExactDistribution, py: ExactDistribution) -> JointDistribution:
-    """The independent joint with cells p_i * q_j."""
-    # gcd(a_i * b_j) = gcd(a) * gcd(b) = 1, so the product matrix is reduced.
-    return _from_matrix(
-        px.dimension * py.dimension,
-        tuple(tuple(a * b for b in py.counts) for a in px.counts),
-    )
+    """The independent joint with cells p_i * q_j: `tensor_product` in rows."""
+    prod = tensor_product(px, py)
+    return JointDistribution._of(prod.dimension, _rows(prod.counts, py.size))
 
 
 def marginals(joint: JointDistribution) -> tuple[ExactDistribution, ExactDistribution]:
@@ -169,16 +163,16 @@ def check_inequalities(joint: JointDistribution) -> InequalityReport:
 
     Independence is decided exactly, in integers: every cell equals the
     product of its marginals, counts[r][c] * D == row_r * col_c with the
-    row and column sums of the matrix.  Both information orders are
-    computed through separate conditional entropies rather than by
-    symmetry.
+    row and column sums of the matrix.  The marginals are computed once,
+    but H(Y|X) sums the transposed cells on its own, so the two
+    information orders are computed separately rather than by symmetry.
     """
     x, y = marginals(joint)
     h_x = shannon_entropy(x, 2)
     h_y = shannon_entropy(y, 2)
     h_xy = joint_entropy(joint, 2)
-    h_x_given_y = conditional_entropy(joint, 2)
-    h_y_given_x = conditional_entropy(joint.transpose(), 2)
+    h_x_given_y = h_xy - h_y
+    h_y_given_x = joint_entropy(joint.transpose(), 2) - h_x
     mi_xy = h_x - h_x_given_y
     mi_yx = h_y - h_y_given_x
     d, counts = joint.dimension, joint.counts
@@ -225,7 +219,7 @@ def parse_joint(text: str) -> JointDistribution:
             _rational_tokens(tokens, "rational")
             raise ValueError(f"expected {n_cols} cells per row, got {len(row)}: {line!r}")
         tokens += row
-    return _from_matrix(*_common_matrix(*_rational_tokens(tokens, "rational"), n_cols))
+    return JointDistribution._of(*_common_matrix(*_rational_tokens(tokens, "rational"), n_cols))
 
 
 def format_joint(joint: JointDistribution) -> str:

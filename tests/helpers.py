@@ -4,6 +4,7 @@ import decimal
 import heapq
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,11 @@ def _regex_token(token, kind):
     m = _ORACLE_TOKEN.fullmatch(token)
     if m is None:
         raise ValueError(f"malformed {kind} token {token!r}")
+    limit = sys.get_int_max_str_digits()
+    n = max(len(m.group(1)), len(m.group(2) or ""))
+    if limit and n > limit:
+        detail = f"({n} digits; at most {limit})"
+        raise ValueError(f"malformed {kind} token '{token[:20]}...' {detail}")
     den = int(m.group(2) or 1)
     if den == 0:
         raise ValueError(f"malformed {kind} token {token!r} (zero denominator)")

@@ -104,7 +104,22 @@ class TestAnalyze:
         assert report["base"] == 4
 
     def test_invalid_base_exits_2(self, shannon_dist, capsys):
-        assert main(["analyze", str(shannon_dist), "--base", "1"]) == 2
+        # entropy_suite refuses the base; the CLI adds no check of its own.
+        for base in ("1", "0", "-3"):
+            assert main(["analyze", str(shannon_dist), "--base", base]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: logarithm base must be an integer >= 2, got {base}\n"
+
+    def test_token_past_the_digit_limit_names_the_token(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.dist"
+        path.write_text("1/2 1/" + "9" * (limit + 100) + "\n")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed probability token '1/" + "9" * 18 + "...'")
+        assert f"({limit + 100} digits; at most {limit})" in captured.err
 
     def test_renyi_and_tsallis_flags(self, coin_dist, capsys):
         assert main(

@@ -15,6 +15,8 @@ from genspace import (
     marginals,
     mutual_information,
     product_joint,
+    shannon_entropy,
+    tensor_product,
 )
 from genspace.distribution import parse_distribution
 from genspace.joint import format_joint, parse_joint
@@ -140,8 +142,6 @@ def test_chain_rule_and_symmetry_on_random_joints():
         h_xy = joint_entropy(joint, 2)
         h_x_given_y = conditional_entropy(joint, 2)
         h_y_given_x = conditional_entropy(joint.transpose(), 2)
-        from genspace import shannon_entropy
-
         assert h_xy == pytest.approx(
             shannon_entropy(y, 2) + h_x_given_y, abs=1e-12
         )
@@ -150,6 +150,23 @@ def test_chain_rule_and_symmetry_on_random_joints():
         assert mi_xy == pytest.approx(mi_yx, abs=1e-12)
         # Shared-volume decomposition of the joint uncertainty.
         assert mi_xy + h_x_given_y + h_y_given_x == pytest.approx(h_xy, abs=1e-11)
+
+
+@given(joint_texts(max_bits=64))
+@example("2 2\n1/2 0\n0 1/2\n")
+@example("2 3\n1/6 1/6 1/6\n1/6 1/6 1/6\n")
+def test_check_inequalities_matches_conditional_entropy_route(text):
+    # The report computes the marginals once; every field is bit for bit the
+    # value of the separate calls.
+    joint = parse_joint(text)
+    x, y = marginals(joint)
+    h_x, h_y = shannon_entropy(x, 2), shannon_entropy(y, 2)
+    h_x_given_y = conditional_entropy(joint, 2)
+    h_y_given_x = conditional_entropy(joint.transpose(), 2)
+    report = check_inequalities(joint)
+    assert (report.h_x, report.h_y, report.h_joint) == (h_x, h_y, joint_entropy(joint, 2))
+    assert (report.h_x_given_y, report.h_y_given_x) == (h_x_given_y, h_y_given_x)
+    assert (report.mi_xy, report.mi_yx) == (h_x - h_x_given_y, h_y - h_y_given_x)
 
 
 class TestJointFile:
@@ -210,3 +227,21 @@ def test_product_joint_matches_fraction_oracle(tx, ty):
     assert JointDistribution(cells) == joint
     assert fraction_independent(cells)
     assert check_inequalities(joint).independent
+
+
+@given(distribution_texts(max_bits=64, max_outcomes=5), distribution_texts(max_bits=64, max_outcomes=5))
+def test_product_joint_is_tensor_product_in_rows(tx, ty):
+    p, q = parse_distribution(tx), parse_distribution(ty)
+    joint, prod = product_joint(p, q), tensor_product(p, q)
+    assert joint.dimension == prod.dimension
+    assert [c for row in joint.counts for c in row] == list(prod.counts)
+    assert (joint.rows, joint.cols) == (p.size, q.size)
+
+
+@given(distribution_texts(max_bits=64, max_outcomes=5), joint_texts(max_bits=64))
+@example("1/2 1/2", "1 2\n1/2 1/2\n")
+@example("1", "1 1\n1\n")
+def test_distribution_never_equals_joint(dist_text, joint_text):
+    dist, joint = parse_distribution(dist_text), parse_joint(joint_text)
+    assert dist != joint and joint != dist
+    assert dist.__eq__(joint) is NotImplemented and joint.__eq__(dist) is NotImplemented

@@ -7,6 +7,26 @@ import sys
 import pytest
 
 import genspace
+from genspace import coding, distribution, entropy, joint
+
+# genspace.__all__ before the layer lists became the package's export list.
+FORTY_SIX_NAMES = [
+    "ExactDistribution", "GenericSpace", "parse_distribution", "format_distribution",
+    "generic_space", "collapse", "tensor_product", "VolumeReport", "EntropySuite",
+    "combinatorial_volumes", "shannon_entropy", "shannon_via_ratio", "effective_dimension",
+    "renyi_entropy", "tsallis_entropy", "projection_ratio", "projection_entropy",
+    "entropy_suite", "JspsVector", "DensityMatrix", "DensityValidation", "MeasurementSet",
+    "jsps_from_distribution", "collapse_jsps", "born_probability", "measure",
+    "validate_density", "sample", "PrefixCode", "CodeStats", "DecodeError",
+    "build_generic_code", "encode", "decode", "average_length", "huffman_oracle",
+    "frame_bits", "unframe_bits", "JointDistribution", "InequalityReport", "product_joint",
+    "marginals", "joint_entropy", "conditional_entropy", "mutual_information",
+    "check_inequalities",
+]
+LAYER_NAMES = {
+    "parse_joint", "format_joint", "parse_code_table", "format_code_table",
+    "parse_matrix", "format_matrix",
+}
 
 
 def _run(code):
@@ -61,3 +81,20 @@ def test_star_import_exports_every_public_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         genspace.no_such_name
+
+
+def test_born_names_are_the_born_export_list():
+    assert genspace._BORN_NAMES == tuple(genspace.born.__all__)
+
+
+def test_every_layer_name_is_the_package_name():
+    layers = (distribution, entropy, genspace.born, coding, joint)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(genspace, name) is getattr(layer, name), (layer.__name__, name)
+    assert genspace.__all__ == [name for layer in layers for name in layer.__all__]
+
+
+def test_export_list_keeps_the_forty_six_names_in_order():
+    assert [name for name in genspace.__all__ if name in FORTY_SIX_NAMES] == FORTY_SIX_NAMES
+    assert set(genspace.__all__) - set(FORTY_SIX_NAMES) == LAYER_NAMES
