@@ -19,8 +19,7 @@ tests keep a cyclic Jacobi eigensolver as an independent oracle for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +117,7 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} entry ({i}, {j}) is {a[i, j]}; entries must be finite")
 
 
-@dataclass(frozen=True)
-class DensityValidation:
+class DensityValidation(NamedTuple):
     """Diagnostics for a candidate density matrix."""
 
     symmetry_defect: float

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -101,9 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(value: object) -> None:
-    """Print `value` as indented JSON; NaN or infinity raises ValueError (exit 2)."""
-    print(json.dumps(value, indent=2, allow_nan=False))
+def _json(value: object) -> str:
+    """`value` as indented JSON; NaN or infinity raises ValueError (exit 2)."""
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+def _decimal(value: int, what: str, hint: str = "") -> str:
+    """str(value) of an int >= 0; past int()'s digit limit, a ValueError that gives both."""
+    try:
+        return str(value)
+    except ValueError:  # only a nonzero limit refuses
+        limit = sys.get_int_max_str_digits()
+    # The estimate from the bit length never exceeds the digit count.
+    digits = int((value.bit_length() - 1) * math.log10(2))
+    while value >= 10**digits:
+        digits += 1
+    raise ValueError(f"{what} has {digits} digits, more than the {limit} that Python prints{hint}")
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -111,6 +125,9 @@ def run_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--exact-limit must be >= 1, got {args.exact_limit}")
     dist = parse_distribution(args.dist_file.read_text())
     volumes = combinatorial_volumes(dist, args.exact_limit)
+    if volumes.exact_computed:
+        # v_uinfo = D**D is the largest exact value: v_info and the ratio's terms are no larger.
+        _decimal(volumes.v_uinfo, "exact volume v_uinfo", "; lower --exact-limit")
     suite = entropy_suite(dist, args.base, args.renyi, args.tsallis)
     h_renyi = suite.renyi[1] if suite.renyi else None
     h_tsallis = suite.tsallis[1] if suite.tsallis else None
@@ -131,30 +148,29 @@ def run_analyze(args: argparse.Namespace) -> int:
             "H_projection": suite.projection,
             "base": args.base,
         }
-        _print_json(report)
+        print(_json(report))
         return 0
 
-    print(f"distribution:        {format_distribution(dist)}")
-    print(f"N (outcomes):        {dist.size}")
-    print(f"D (generic dim):     {dist.dimension}")
-    print(f"counts:              {' '.join(str(c) for c in dist.counts)}")
-    if volumes.exact_computed:
-        print(f"v_info:              {volumes.v_info}")
-        print(f"v_uinfo:             {volumes.v_uinfo}")
-        print(f"ratio:               {volumes.ratio}")
-    else:
-        print(f"v_info:              (skipped, D > {args.exact_limit})")
-        print(f"v_uinfo:             (skipped, D > {args.exact_limit})")
-    print(f"log2_ratio:          {volumes.log2_ratio:.12g}")
-    print(f"H_shannon:           {suite.shannon:.12g}")
-    print(f"H_shannon_via_ratio: {suite.shannon_via_ratio:.12g}")
-    print(f"eff_dim:             {suite.effective_dimension:.12g}")
-    print(f"H_projection:        {suite.projection:.12g}")
-    if h_renyi is not None:
-        print(f"H_renyi({args.renyi:g}):        {h_renyi:.12g}")
-    if h_tsallis is not None:
-        print(f"H_tsallis({args.tsallis:g}):      {h_tsallis:.12g}")
-    print(f"base:                {args.base}")
+    # The whole report is built before any of it is printed.
+    exact, skipped = volumes.exact_computed, f"(skipped, D > {args.exact_limit})"
+    lines = [
+        f"distribution:        {format_distribution(dist)}",
+        f"N (outcomes):        {dist.size}",
+        f"D (generic dim):     {dist.dimension}",
+        f"counts:              {' '.join(str(c) for c in dist.counts)}",
+        f"v_info:              {volumes.v_info if exact else skipped}",
+        f"v_uinfo:             {volumes.v_uinfo if exact else skipped}",
+        *([f"ratio:               {volumes.ratio}"] if exact else []),
+        f"log2_ratio:          {volumes.log2_ratio:.12g}",
+        f"H_shannon:           {suite.shannon:.12g}",
+        f"H_shannon_via_ratio: {suite.shannon_via_ratio:.12g}",
+        f"eff_dim:             {suite.effective_dimension:.12g}",
+        f"H_projection:        {suite.projection:.12g}",
+        *([f"H_renyi({args.renyi:g}):        {h_renyi:.12g}"] if h_renyi is not None else []),
+        *([f"H_tsallis({args.tsallis:g}):      {h_tsallis:.12g}"] if h_tsallis is not None else []),
+        f"base:                {args.base}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -163,19 +179,22 @@ def run_code_build(args: argparse.Namespace) -> int:
     code = build_generic_code(dist)
     stats = average_length(code, dist)
     out = args.output or args.dist_file.with_suffix(".code")
-    out.write_text(format_code_table(code))
     avg = stats.average_length
+    # Format the output first, so that a failure leaves no table behind.
+    avg_text = (_decimal(avg.numerator, "average length numerator") + "/"
+                + _decimal(avg.denominator, "average length denominator"))
     if args.json:
-        _print_json({
+        report = _json({
             "mode": code.mode,
             "codewords": list(code.codewords),
-            "average_length": f"{avg.numerator}/{avg.denominator}",
+            "average_length": avg_text,
             "entropy_gap": stats.entropy_gap,
             "table": str(out),
         })
-        return 0
-    print(f"wrote code table to {out}")
-    print(f"avg = {avg.numerator}/{avg.denominator} ({code.mode} mode)")
+    else:
+        report = f"wrote code table to {out}\navg = {avg_text} ({code.mode} mode)"
+    out.write_text(format_code_table(code))
+    print(report)
     return 0
 
 
@@ -211,7 +230,7 @@ def run_table1(args: argparse.Namespace) -> int:
         dist = parse_distribution(text)
         rows.append((text, dist.dimension, effective_dimension(dist)))
     if args.json:
-        _print_json([{"distribution": t, "D": d, "eff_dim": round(e, 4)} for t, d, e in rows])
+        print(_json([{"distribution": t, "D": d, "eff_dim": round(e, 4)} for t, d, e in rows]))
         return 0
     print(f"{'distribution':<16} {'D':>4}  {'eff_dim':>8}")
     for text, dim, eff in rows:
@@ -229,7 +248,7 @@ def run_check(args: argparse.Namespace) -> int:
         "independence => I == 0": report.independence_consistent,
     }
     if args.json:
-        _print_json({
+        print(_json({
             "H_x": report.h_x,
             "H_y": report.h_y,
             "H_joint": report.h_joint,
@@ -240,7 +259,7 @@ def run_check(args: argparse.Namespace) -> int:
             "independent": report.independent,
             "verdicts": {k: ("PASS" if v else "FAIL") for k, v in verdicts.items()},
             "all_pass": report.all_pass,
-        })
+        }))
     else:
         print(f"H(X)   = {report.h_x:.12g}")
         print(f"H(Y)   = {report.h_y:.12g}")

@@ -21,11 +21,10 @@ any length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .distribution import ExactDistribution, GenericSpace, _int_tokens
+from .distribution import ExactDistribution, GenericSpace, _int_tokens, _make_checked
 from .entropy import shannon_entropy
 
 __all__ = [
@@ -59,8 +58,10 @@ class DecodeError(ValueError):
     """A bit stream does not decode under the given code or framing."""
 
 
-@dataclass(frozen=True)
-class PrefixCode:
+_PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple), ("mode", str)])
+
+
+class PrefixCode(_PrefixCodeFields):
     """An ordered symbol -> bitstring map, checked prefix-free on construction.
 
     mode "exact" promises a complete code (Kraft sum exactly 1) built from
@@ -68,30 +69,30 @@ class PrefixCode:
     sum <= 1; "huffman" marks oracle-built codes.
     """
 
-    codewords: tuple[str, ...]
-    mode: str
+    __slots__ = ()
+    _make = classmethod(_make_checked)  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown code mode {self.mode!r}")
-        if not self.codewords:
+    def __init__(self, codewords: tuple[str, ...], mode: str) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown code mode {mode!r}")
+        if not codewords:
             raise ValueError("code needs at least one codeword")
         # One check over all the words; the loop only finds the first bad one.
-        joined = "".join(self.codewords)
-        if joined.translate(_DELETE_BITS) or self.size > 1 and "" in self.codewords:
-            for i, word in enumerate(self.codewords):
+        joined = "".join(codewords)
+        if joined.translate(_DELETE_BITS) or len(codewords) > 1 and "" in codewords:
+            for i, word in enumerate(codewords):
                 if set(word) - {"0", "1"}:
                     raise ValueError(f"codeword {i} is not a bitstring: {word!r}")
-                if word == "" and len(self.codewords) > 1:
+                if word == "" and len(codewords) > 1:
                     raise ValueError("empty codeword only allowed in a one-symbol code")
-        ordered = sorted(self.codewords)
+        ordered = sorted(codewords)
         if any(map(str.startswith, ordered[1:], ordered)):
             short, long = next(p for p in zip(ordered, ordered[1:]) if p[1].startswith(p[0]))
             raise ValueError(f"not prefix-free: {short!r} is a prefix of {long!r}")
         # Prefix-freeness already forces the Kraft sum <= 1; exact mode
         # additionally promises completeness.
-        if self.mode == "exact" and self.kraft_sum() != 1:
-            raise ValueError(f"exact code must have Kraft sum 1, got {self.kraft_sum()}")
+        if mode == "exact" and (kraft := _kraft_sum(codewords)) != 1:
+            raise ValueError(f"exact code must have Kraft sum 1, got {kraft}")
 
     @property
     def size(self) -> int:
@@ -110,8 +111,7 @@ def _kraft_sum(words: Sequence[str]) -> Fraction:
     return Fraction(sum(1 << (top - len(w)) for w in words), 1 << top)
 
 
-@dataclass(frozen=True)
-class CodeStats:
+class CodeStats(NamedTuple):
     """Exact average codeword length and its gap above the entropy."""
 
     average_length: Fraction

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "ExactDistribution",
@@ -164,8 +163,15 @@ class ExactDistribution(_ReducedSpace):
         return f"ExactDistribution({format_distribution(self)!r})"
 
 
-@dataclass(frozen=True)
-class GenericSpace:
+def _make_checked(cls, iterable: Iterable):
+    """A `_make` that calls the class: namedtuple's calls tuple.__new__, skipping its checks."""
+    return cls(*iterable)
+
+
+_GenericSpaceFields = NamedTuple("_GenericSpaceFields", [("dimension", int), ("counts", tuple)])
+
+
+class GenericSpace(_GenericSpaceFields):
     """A uniform space of `dimension` outcomes grouped into blocks of `counts`.
 
     Collapsing block i onto a single outcome yields probability
@@ -174,25 +180,24 @@ class GenericSpace:
     The dimension and every count must be of type int (a bool is refused).
     """
 
-    dimension: int
-    counts: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(_make_checked)  # so `_replace` checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if type(self.dimension) is not int or set(map(type, self.counts)) - {int}:
-            bad = next(x for x in (self.dimension, *self.counts) if type(x) is not int)
+    def __new__(cls, dimension: int, counts: Iterable[int]) -> GenericSpace:
+        counts = tuple(counts)
+        if type(dimension) is not int or set(map(type, counts)) - {int}:
+            bad = next(x for x in (dimension, *counts) if type(x) is not int)
             raise TypeError(f"dimension and counts must be ints, got {bad!r}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.counts:
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if not counts:
             raise ValueError("counts must be non-empty")
-        for i, c in enumerate(self.counts):
+        for i, c in enumerate(counts):
             if c < 1:
                 raise ValueError(f"count at index {i} is {c}; all must be >= 1")
-        if sum(self.counts) != self.dimension:
-            raise ValueError(
-                f"counts sum to {sum(self.counts)} but dimension is {self.dimension}"
-            )
+        if sum(counts) != dimension:
+            raise ValueError(f"counts sum to {sum(counts)} but dimension is {dimension}")
+        return super().__new__(cls, dimension, counts)
 
     @property
     def size(self) -> int:

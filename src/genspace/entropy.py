@@ -20,9 +20,8 @@ routes (ROADMAP item 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .distribution import ExactDistribution, GenericSpace
 
@@ -50,8 +49,7 @@ def _check_base(base: int) -> None:
         raise ValueError(f"logarithm base must be an integer >= 2, got {base!r}")
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(NamedTuple):
     """Exact and log-domain combinatorial volumes of a generic space.
 
     `v_info`, `v_uinfo` and `ratio` are present only when the exact path
@@ -67,8 +65,7 @@ class VolumeReport:
     exact_computed: bool
 
 
-@dataclass(frozen=True)
-class EntropySuite:
+class EntropySuite(NamedTuple):
     """Bundle of the entropy quantities for one distribution.
 
     `renyi` and `tsallis` are (order, value) pairs when requested.

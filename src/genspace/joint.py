@@ -10,9 +10,8 @@ marginals are always valid distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distribution import (
     ExactDistribution,
@@ -131,8 +130,7 @@ def mutual_information(joint: JointDistribution, base: int = 2) -> float:
     return shannon_entropy(x, base) - conditional_entropy(joint, base)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Entropy quantities of a joint and the elementary inequality verdicts."""
 
     h_x: float

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -53,6 +52,19 @@ def bent_dist(tmp_path):
     path = tmp_path / "bent.dist"
     path.write_text("2/3 1/3\n")
     return path
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin int()'s digit limit at CPython's default for one test, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    current = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(old)
+    assert current == 4300, "the CLI changed the process-wide limit"
 
 
 class TestAnalyze:
@@ -167,7 +179,7 @@ class TestAnalyze:
     def test_json_report_refuses_nan(self, coin_dist, capsys, monkeypatch):
         real = cli.entropy_suite
         monkeypatch.setattr(
-            cli, "entropy_suite", lambda *args: dataclasses.replace(real(*args), projection=math.nan)
+            cli, "entropy_suite", lambda *args: real(*args)._replace(projection=math.nan)
         )
         assert main(["analyze", str(coin_dist), "--json"]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
@@ -188,6 +200,24 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_exact_volume_past_the_digit_limit_prints_nothing(
+        self, tmp_path, capsys, digit_limit, json_flag
+    ):
+        # D = 2048, so v_uinfo = 2048**2048 = 2**22528 has 6782 digits.
+        path = tmp_path / "wide.dist"
+        path.write_text("1/2048 2047/2048\n")
+        assert main(["analyze", str(path), "--exact-limit", "4096", *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: exact volume v_uinfo has 6782 digits, more than the 4300 that Python "
+            "prints; lower --exact-limit\n"
+        )
+        # Past the exact limit the same file prints its full report.
+        assert main(["analyze", str(path), "--exact-limit", "2047", *json_flag]) == 0
+        assert "2047" in capsys.readouterr().out
 
     def test_orders_must_be_finite(self, coin_dist, capsys):
         for flag in ("--renyi", "--tsallis"):
@@ -224,6 +254,25 @@ class TestCode:
         assert report["mode"] == "exact"
         assert report["codewords"] == ["0", "10", "110", "111"]
         assert report["average_length"] == "7/4"
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["-o", "named.code"]])
+    def test_average_length_past_the_digit_limit_writes_no_table(
+        self, tmp_path, capsys, digit_limit, extra
+    ):
+        # Each token is under the limit, but D = 2ab, and so the average
+        # length's numerator and denominator, have 6001 digits.
+        a, b = 10**3000 + 1, 10**3000 + 3
+        path = tmp_path / "long.dist"
+        path.write_text(f"1/{a} {a - 2}/{2 * a} 1/{b} {b - 2}/{2 * b}\n")
+        extra = [str(tmp_path / x) if x.endswith(".code") else x for x in extra]
+        assert main(["code", "build", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: average length numerator has 6001 digits, more than the 4300 that "
+            "Python prints\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.dist"]
 
     def test_encode_decode_round_trip(self, shannon_dist, tmp_path, capsys):
         table = tmp_path / "shannon.code"

@@ -49,6 +49,16 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # The result records are named tuples; dataclasses would pull in inspect.
+    result = _run(
+        "import sys, genspace.cli\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_born_names_resolve_on_first_access():
     result = _run(
         "import sys, genspace\n"
