@@ -19,11 +19,12 @@ tests keep a cyclic Jacobi eigensolver as an independent oracle for it.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .distribution import ExactDistribution, collapse
+from .distribution import ExactDistribution, _int_tokens, collapse
 
 __all__ = [
     "JspsVector",
@@ -45,6 +46,9 @@ SYMMETRY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 COMPLETENESS_TOL = 1e-10
+
+# A matrix entry: ASCII digits, an optional leading minus, point and exponent.
+_DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class JspsVector:
@@ -155,11 +159,11 @@ def validate_density(matrix: np.ndarray) -> DensityValidation:
     _require_finite(a, "matrix")
     symmetry_defect = float(np.max(np.abs(a - a.T), initial=0.0))
     trace_defect = float(abs(np.trace(a) - 1.0))
-    eigenvalues = np.linalg.eigvalsh((a + a.T) / 2.0)
+    eigenvalues = tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))
     return DensityValidation(
         symmetry_defect=symmetry_defect,
         trace_defect=trace_defect,
-        eigenvalues=tuple(float(v) for v in eigenvalues),
+        eigenvalues=eigenvalues,
         symmetric=symmetry_defect <= SYMMETRY_TOL,
         unit_trace=trace_defect <= TRACE_TOL,
         psd=min(eigenvalues) >= EIGENVALUE_FLOOR,
@@ -275,12 +279,18 @@ def sample(psi: JspsVector, seed: int, draws: int) -> list[int]:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse the matrix text format: a line "N", then N rows of N decimals."""
+    """Parse the matrix text format: a line "N", then N rows of N decimals.
+
+    N is ASCII digits; an entry is ASCII digits with an optional leading
+    minus, decimal point and exponent (`-0.5`, `.5`, `1e+16`), as
+    :func:`format_matrix` writes them.  A leading `+`, `_`, other Unicode
+    digits, `nan`, `inf` and an entry past the float range are refused.
+    """
     lines = [line for line in (l.strip() for l in text.splitlines()) if line]
     if not lines:
         raise ValueError("empty matrix text")
     try:
-        n = int(lines[0])
+        (n,) = _int_tokens(lines[0].split())
     except ValueError:
         raise ValueError(f"malformed matrix size line {lines[0]!r}") from None
     if n < 1:
@@ -292,10 +302,11 @@ def parse_matrix(text: str) -> np.ndarray:
         tokens = line.split()
         if len(tokens) != n:
             raise ValueError(f"expected {n} entries per row, got {len(tokens)}: {line!r}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise ValueError(f"malformed matrix entry in row {line!r}") from None
+        row = [float(t) for t in tokens if _DECIMAL.fullmatch(t)]
+        # An entry past the float range, such as 1e400, reads as inf.
+        if len(row) != n or not all(map(math.isfinite, row)):
+            raise ValueError(f"malformed matrix entry in row {line!r}")
+        rows.append(row)
     return np.array(rows, dtype=float)
 
 

@@ -9,8 +9,10 @@ Commands:
   check JOINT           elementary information inequalities on a joint
 
 Exit codes: 0 success, 2 input error (including a number too large for a
-float), 3 codec/framing error, 4 an inequality check failed.  A reader that
-closes stdout early (`genspace code decode T S | head -c1`) ends it quietly with 0.
+float, and an `analyze` volume or a `code build` average length with more
+digits than Python prints), 3 codec/framing error, 4 an inequality check
+failed.  A reader that closes stdout early (`genspace code decode T S |
+head -c1`) ends it quietly with 0.
 """
 
 from __future__ import annotations

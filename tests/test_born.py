@@ -418,3 +418,30 @@ class TestMatrixText:
             parse_matrix("2\n0.5 0.5\n")
         with pytest.raises(ValueError, match="entries per row"):
             parse_matrix("2\n0.5\n0.5 0.5\n")
+
+    @pytest.mark.parametrize("size", ["+1", "1_0", "\u0661", "-1", "1.0", "1 1", "0x1"])
+    def test_size_is_ascii_digits(self, size):
+        with pytest.raises(ValueError, match="malformed matrix size line"):
+            parse_matrix(f"{size}\n1.0\n")
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["+1", "1_0", "\u0661", "nan", "inf", "-inf", "1e400", "-1e999",
+         "1e", "e5", ".", "-", "1.0.0", "0x1p0"],
+    )
+    def test_entry_is_an_ascii_decimal(self, entry):
+        # float() takes the first eight of these; 1e400 and -1e999 read as infinities.
+        with pytest.raises(ValueError, match="malformed matrix entry"):
+            parse_matrix(f"1\n{entry}\n")
+
+    @pytest.mark.parametrize(
+        "entry", ["1", "-0.5", ".5", "5.", "1e+16", "2.5E-3", "-0.0", "5e-324"]
+    )
+    def test_ascii_decimals_parse(self, entry):
+        assert parse_matrix(f"1\n{entry}\n")[0, 0] == float(entry)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    def test_every_formatted_matrix_parses(self, values):
+        n = math.isqrt(len(values))
+        m = np.array(values[: n * n]).reshape(n, n)
+        assert np.array_equal(parse_matrix(format_matrix(m)), m)

@@ -477,16 +477,16 @@ def test_closed_stdout_ends_quietly(command, shannon_dist, tmp_path, capsys):
         assert main(["code", "encode", str(table), str(symbols), str(stream)]) == 0
         capsys.readouterr()
         argv = ["code", "decode", str(table), str(stream)]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "genspace.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_cli_env(),
-    )
-    # Closed before the child can have written anything, so its every write fails.
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        # Closed before the child can have written anything, so its every write fails.
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert err == b""
 
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +20,19 @@ from genspace import (
     tensor_product,
 )
 from genspace.distribution import parse_distribution
-from genspace.joint import format_joint, parse_joint
+from genspace.joint import _information, format_joint, parse_joint
 from helpers import (
+    decimal_mutual_information,
     distribution_texts,
+    far_below_product_counts,
     fraction_independent,
     fraction_joint_cells,
     fraction_marginals,
     fraction_parse,
     fraction_shannon_entropy,
     joint_texts,
+    near_certain_counts,
+    near_independent_counts,
     random_distribution,
     random_joint,
 )
@@ -157,16 +162,84 @@ def test_chain_rule_and_symmetry_on_random_joints():
 @example("2 3\n1/6 1/6 1/6\n1/6 1/6 1/6\n")
 def test_check_inequalities_matches_conditional_entropy_route(text):
     # The report computes the marginals once; every field is bit for bit the
-    # value of the separate calls.
+    # value of the separate calls, on the joint and on its transpose.
     joint = parse_joint(text)
     x, y = marginals(joint)
     h_x, h_y = shannon_entropy(x, 2), shannon_entropy(y, 2)
-    h_x_given_y = conditional_entropy(joint, 2)
-    h_y_given_x = conditional_entropy(joint.transpose(), 2)
     report = check_inequalities(joint)
     assert (report.h_x, report.h_y, report.h_joint) == (h_x, h_y, joint_entropy(joint, 2))
-    assert (report.h_x_given_y, report.h_y_given_x) == (h_x_given_y, h_y_given_x)
-    assert (report.mi_xy, report.mi_yx) == (h_x - h_x_given_y, h_y - h_y_given_x)
+    flipped = joint.transpose()
+    assert (report.h_x_given_y, report.h_y_given_x) == (
+        conditional_entropy(joint, 2), conditional_entropy(flipped, 2)
+    )
+    assert (report.mi_xy, report.mi_yx) == (
+        mutual_information(joint, 2), mutual_information(flipped, 2)
+    )
+
+
+def _joint(counts):
+    """The joint of an integer matrix over its sum."""
+    d = sum(map(sum, counts))
+    return JointDistribution([[F(m, d) for m in row] for row in counts])
+
+
+@given(
+    st.one_of(
+        joint_texts().map(lambda text: parse_joint(text).counts),
+        near_certain_counts(),
+        far_below_product_counts(),
+        near_independent_counts(),
+    )
+)
+# [[e, 1/2 - e], [1/2 - e, e]], e = 2^-k: log1p of (m*D - r*c) / (r*c) alone gets -1 here.
+@example([[1, 2**59 - 1], [2**59 - 1, 1]])
+@example([[1, 2**1099 - 1], [2**1099 - 1, 1]])
+# [[1 - 3e, e], [e, e]], e = 2^-1500: a float ratio m*D / (r*c) overflows here.
+@example([[2**1500 - 3, 1], [1, 1]])
+@example([[2**64 - 3, 1], [1, 1]])
+def test_information_is_within_its_bound_of_a_decimal_oracle(counts):
+    joint = _joint(counts)
+    mi, bound, _, _ = _information(joint)
+    assert mutual_information(joint, 2) == mi == mutual_information(joint.transpose(), 2)
+    reference = decimal_mutual_information(joint.dimension, joint.counts)
+    assert abs(Decimal(mi) - reference) <= Decimal(bound)
+    report = check_inequalities(joint)
+    assert report.all_pass and report.mi_xy == report.mi_yx == mi
+
+
+@given(distribution_texts(max_outcomes=6), distribution_texts(max_outcomes=6))
+def test_product_joint_has_exactly_zero_information(tx, ty):
+    joint = product_joint(parse_distribution(tx), parse_distribution(ty))
+    assert mutual_information(joint, 2) == mutual_information(joint.transpose(), 3) == 0.0
+    report = check_inequalities(joint)
+    assert report.independent and report.all_pass and report.mi_xy == report.mi_yx == 0.0
+
+
+@given(joint_texts(max_bits=6))
+@example("1 1\n1\n")
+@example("2 3\n1/12 1/6 1/4\n1/12 1/6 1/4\n")
+def test_volume_ratio_is_two_to_the_information_per_outcome(text):
+    # D^D * prod(m^m) / (prod(r^r) * prod(c^c)) = 2^(D * I): the paper's volumes, in integers.
+    joint = parse_joint(text)
+    d, counts = joint.dimension, joint.counts
+    rows, cols = [sum(row) for row in counts], [sum(col) for col in zip(*counts)]
+    cells = math.prod(m**m for row in counts for m in row)
+    ratio = F(d**d * cells, math.prod(r**r for r in rows) * math.prod(c**c for c in cols))
+    mi = mutual_information(joint, 2)
+    assert ratio >= 1
+    assert (ratio == 1) == check_inequalities(joint).independent == (mi == 0.0)
+    log2_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+    assert log2_ratio == pytest.approx(d * mi, abs=1e-9)
+
+
+def test_large_product_joint_passes():
+    # A difference of separately rounded entropies gives I(X;Y) = -1.2e-12 here.
+    rng = np.random.default_rng(2)
+    px, py = (parse_distribution(" ".join(f"{w}/{sum(ws)}" for w in ws))
+              for ws in (rng.integers(1, 1000, size=1000).tolist() for _ in range(2)))
+    report = check_inequalities(product_joint(px, py))
+    assert report.independent and report.all_pass
+    assert report.mi_xy == report.mi_yx == 0.0
 
 
 class TestJointFile:
