@@ -9,10 +9,11 @@ Commands:
   check JOINT           elementary information inequalities on a joint
 
 Exit codes: 0 success, 2 input error (including a number too large for a
-float, and an `analyze` volume or a `code build` average length with more
-digits than Python prints), 3 codec/framing error, 4 an inequality check
-failed.  A reader that closes stdout early (`genspace code decode T S |
-head -c1`) ends it quietly with 0.
+float, an `analyze` volume or a `code build` average length with more
+digits than Python prints, and a `code build` table path that is the
+distribution file), 3 codec/framing error, 4 an inequality check failed.
+A reader that closes stdout early (`genspace code decode T S | head -c1`)
+ends it quietly with 0.
 """
 
 from __future__ import annotations
@@ -177,10 +178,12 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def run_code_build(args: argparse.Namespace) -> int:
+    out = args.output or args.dist_file.with_suffix(".code")
+    if out.exists() and out.samefile(args.dist_file):
+        raise ValueError(f"code table {out} would overwrite the distribution file")
     dist = parse_distribution(args.dist_file.read_text())
     code = build_generic_code(dist)
     stats = average_length(code, dist)
-    out = args.output or args.dist_file.with_suffix(".code")
     avg = stats.average_length
     # Format the output first, so that a failure leaves no table behind.
     avg_text = (_decimal(avg.numerator, "average length numerator") + "/"

@@ -1,16 +1,18 @@
 """Prefix codes read off the generic space, plus an independent Huffman oracle.
 
-When the generic dimension D and every count are powers of two, write the
-D uniform generic-space outcomes as fixed-length binary words and group
-them by collapsed symbol (largest group first).  Within a group only the
-leading bits are shared, and since the group members are indistinguishable
-after collapse, the shared prefix of length log2(D / count) IS the symbol's
-codeword.  The blocks tile the code space, so the Kraft sum is exactly 1
-and the average length meets the Shannon entropy exactly.
+Every generic code takes one path: symbol i, with count N_i of the generic
+dimension D, gets length l_i = ceil(log2(D / N_i)), and the lengths are
+assigned canonically (Schwartz & Kallick, 1964).  Mode "exact" means the
+code is complete (Kraft sum 1), which happens exactly when every D / N_i is
+a power of two; its average length then equals the Shannon entropy.
+"fallback" codes stay prefix-free, within one bit of the entropy.
 
-Outside the dyadic case that construction has no exact analogue; we fall
-back to Shannon lengths ceil(log2(D / count)) assigned canonically, which
-keeps the code prefix-free with average length within one bit of entropy.
+This is the paper's construction.  For D = 2^L and power-of-two counts,
+write the D generic-space outcomes as L-bit words and give the symbols, by
+descending count with ties in symbol order, consecutive blocks.  Block i
+starts at O_i = sum(N_j, j < i), a multiple of N_i, so its members share a
+prefix of length l_i = L - log2(N_i): O_i >> (L - l_i) = sum(2^(l_i - l_j),
+j < i), the canonical codeword value.  The two assignments give the same words.
 
 Streams are strings of "0"/"1" characters, and :func:`frame_bits` packs
 them into the GSC1 container.  :func:`decode` accepts every prefix-free
@@ -64,9 +66,10 @@ _PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple), ("mod
 class PrefixCode(_PrefixCodeFields):
     """An ordered symbol -> bitstring map, checked prefix-free on construction.
 
-    mode "exact" promises a complete code (Kraft sum exactly 1) built from
-    a dyadic generic space; "fallback" carries Shannon lengths with Kraft
-    sum <= 1; "huffman" marks oracle-built codes.
+    mode "exact" promises a complete code (Kraft sum exactly 1); "fallback"
+    marks an incomplete generic code or table; "huffman" marks oracle-built
+    codes.  A code table stores no mode, so it reloads as "exact" exactly
+    when it is complete, the rule :func:`build_generic_code` applies too.
     """
 
     __slots__ = ()
@@ -118,10 +121,6 @@ class CodeStats(NamedTuple):
     entropy_gap: float
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 def _ceil_log2_ratios(numerator: int, denominators: Sequence[int]) -> list[int]:
     """max(ceil(log2(numerator / den)), 0) for each den, over positive integers, exactly."""
     bits = numerator.bit_length()
@@ -155,30 +154,19 @@ def _canonical_codewords(lengths: Sequence[int]) -> tuple[str, ...]:
 def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
     """Derive a prefix code from a generic space.
 
-    Dyadic spaces (dimension and all counts powers of two) get the exact
-    construction: symbols sorted by descending count claim consecutive
-    blocks of the fixed-length generic codewords, and each symbol's
-    codeword is its block's shared prefix of length log2(D / count).
-    Everything else gets canonical Shannon lengths ceil(log2(D / count)).
-    Codewords are returned in original symbol order.
+    Lengths ceil(log2(D / count)), assigned canonically; on a dyadic space
+    these are the block prefixes of the module docstring.  The mode is
+    "exact" when the code is complete, else "fallback".  A distribution is
+    a reduced space, so for it "exact" means that D and every count are
+    powers of two.  Codewords are returned in original symbol order.
     """
     d = space.dimension
     counts = space.counts
-    if _is_power_of_two(d) and all(_is_power_of_two(c) for c in counts):
-        total_bits = d.bit_length() - 1
-        # Descending counts; a reverse sort is still stable, so ties keep symbol order.
-        order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
-        words: list[str] = [""] * len(counts)
-        offset = 0
-        for i in order:
-            length = total_bits - (counts[i].bit_length() - 1)
-            # offset is a multiple of counts[i] here, so the block of
-            # counts[i] consecutive words shares exactly this prefix.
-            prefix = offset >> (total_bits - length)
-            words[i] = bin(prefix | 1 << length)[3:]
-            offset += counts[i]
-        return PrefixCode(tuple(words), mode="exact")
-    return PrefixCode(_canonical_codewords(_ceil_log2_ratios(d, counts)), mode="fallback")
+    lengths = _ceil_log2_ratios(d, counts)
+    # 2^-length <= count / D, equal exactly when count << length == D, and
+    # the counts sum to D: the Kraft sum is 1 exactly when all are equal.
+    complete = all(c << n == d for c, n in zip(counts, lengths))
+    return PrefixCode(_canonical_codewords(lengths), mode="exact" if complete else "fallback")
 
 
 def _require_bits(bits: str, error: type[ValueError]) -> None:

@@ -317,7 +317,11 @@ def reference_canonical_codewords(lengths):
 
 
 def reference_generic_code(space):
-    """`build_generic_code` with a key sort per symbol and one length call per count."""
+    """`build_generic_code` as the paper's block prefixes when D and every count are powers of two.
+
+    Otherwise Shannon lengths, assigned canonically, in mode "exact" when
+    their Fraction Kraft sum is 1.
+    """
     d, counts = space.dimension, space.counts
     if d & (d - 1) == 0 and all(c & (c - 1) == 0 for c in counts):
         total_bits = d.bit_length() - 1
@@ -334,7 +338,8 @@ def reference_generic_code(space):
     for c in counts:
         length = max(d.bit_length() - c.bit_length(), 0)
         lengths.append(length + ((c << length) < d))
-    return PrefixCode(reference_canonical_codewords(lengths), mode="fallback")
+    kraft = sum(Fraction(1, 2**n) for n in lengths)
+    return PrefixCode(reference_canonical_codewords(lengths), "exact" if kraft == 1 else "fallback")
 
 
 def reference_prefix_code_error(words):

@@ -338,6 +338,20 @@ class TestCode:
         assert main(["code", "build", str(shannon_dist), "-o", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["-o", "d.code"], ["-o", "sub/../d.code"]])
+    def test_build_refuses_to_overwrite_its_input(self, tmp_path, capsys, monkeypatch, extra):
+        (tmp_path / "sub").mkdir()
+        dist = tmp_path / "d.code"
+        dist.write_text("1/2 1/4 1/4\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["code", "build", str(dist), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        out = extra[-1] if "-o" in extra else str(dist)
+        assert captured.err == f"error: code table {out} would overwrite the distribution file\n"
+        assert dist.read_text() == "1/2 1/4 1/4\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.code", "sub"]
+
 
 class TestTable1:
     def test_rows(self, capsys):

@@ -221,6 +221,30 @@ def test_generic_code_matches_reference(counts):
     assert build_generic_code(space) == reference_generic_code(space)
 
 
+# Dyadic counts times an odd k >= 3: an unreduced space whose D is not a power of two.
+scaled_dyadic_counts = st.builds(
+    lambda counts, k: [c * k for c in counts],
+    st.lists(st.integers(0, 12), min_size=1, max_size=200).map(dyadic_counts),
+    st.integers(1, 2**40).map(lambda j: 2 * j + 1),
+)
+
+
+@settings(deadline=None)
+@given(tied_counts | scaled_dyadic_counts)
+@example([3, 3])
+@example([6, 3, 3])
+def test_generic_code_table_reloads_as_built(counts):
+    code = build_generic_code(GenericSpace(sum(counts), tuple(counts)))
+    assert parse_code_table(format_code_table(code)) == code
+
+
+@pytest.mark.parametrize("space", [GenericSpace(6, (3, 3)), GenericSpace(12, (6, 3, 3))])
+def test_unreduced_dyadic_space_gets_an_exact_code(space):
+    code = build_generic_code(space)
+    assert code.mode == "exact"
+    assert average_length(code, collapse(space.dimension, space.counts)).entropy_gap == 0.0
+
+
 @given(st.lists(st.text("01x", max_size=5), min_size=1, max_size=8))
 @example(["", "1x"])
 @example(["0x", ""])
