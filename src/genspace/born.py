@@ -9,7 +9,8 @@ counts[i] axes onto its diagonal, which preserves the norm.
 
 Density matrices generalize this to mixed states: a symmetric positive
 semidefinite matrix with unit trace, measured by operators m_z that sum
-to the identity, yields outcome probabilities trace(rho @ m_z).
+to the identity, yields outcome probabilities trace(rho @ m_z).  A
+measurement is one read-only (k, n, n) array, with its operators as views.
 
 Everything works in real arithmetic.  Validation refuses non-finite
 entries and takes eigenvalues from LAPACK (``np.linalg.eigvalsh``); the
@@ -46,6 +47,7 @@ SYMMETRY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 COMPLETENESS_TOL = 1e-10
+_SAMPLE_BLOCK = 2**14
 
 # A matrix entry: ASCII digits, an optional leading minus, point and exponent.
 _DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -115,10 +117,11 @@ def born_probability(psi: JspsVector, outcome: JspsVector) -> float:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    """Refuse NaN and inf: every tolerance comparison against NaN is False."""
+    """Refuse NaN and inf, which fail no tolerance check; leading indices fill `what`."""
     if not np.isfinite(a).all():
-        i, j = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"{what} entry ({i}, {j}) is {a[i, j]}; entries must be finite")
+        *lead, i, j = index = tuple(np.argwhere(~np.isfinite(a))[0])
+        name = what.format(*lead)
+        raise ValueError(f"{name} entry ({i}, {j}) is {a[index]}; entries must be finite")
 
 
 class DensityValidation(NamedTuple):
@@ -136,14 +139,11 @@ class DensityValidation(NamedTuple):
         return self.symmetric and self.unit_trace and self.psd
 
     def problems(self) -> list[str]:
-        issues = []
-        if not self.symmetric:
-            issues.append(f"symmetry defect {self.symmetry_defect:.3g} > {SYMMETRY_TOL}")
-        if not self.unit_trace:
-            issues.append(f"trace defect {self.trace_defect:.3g} > {TRACE_TOL}")
-        if not self.psd:
-            issues.append(f"minimum eigenvalue {min(self.eigenvalues):.6g} < 0")
-        return issues
+        return [issue for ok, issue in (
+            (self.symmetric, f"symmetry defect {self.symmetry_defect:.3g} > {SYMMETRY_TOL}"),
+            (self.unit_trace, f"trace defect {self.trace_defect:.3g} > {TRACE_TOL}"),
+            (self.psd, f"minimum eigenvalue {min(self.eigenvalues):.6g} < 0"),
+        ) if not ok]
 
 
 def validate_density(matrix: np.ndarray) -> DensityValidation:
@@ -161,12 +161,8 @@ def validate_density(matrix: np.ndarray) -> DensityValidation:
     trace_defect = float(abs(np.trace(a) - 1.0))
     eigenvalues = tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2.0))
     return DensityValidation(
-        symmetry_defect=symmetry_defect,
-        trace_defect=trace_defect,
-        eigenvalues=eigenvalues,
-        symmetric=symmetry_defect <= SYMMETRY_TOL,
-        unit_trace=trace_defect <= TRACE_TOL,
-        psd=min(eigenvalues) >= EIGENVALUE_FLOOR,
+        symmetry_defect, trace_defect, eigenvalues, symmetry_defect <= SYMMETRY_TOL,
+        trace_defect <= TRACE_TOL, min(eigenvalues) >= EIGENVALUE_FLOOR,
     )
 
 
@@ -177,8 +173,7 @@ class DensityMatrix:
 
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=float)
-        report = validate_density(arr)
-        if not report.valid:
+        if not (report := validate_density(arr)).valid:
             raise ValueError("not a density matrix: " + "; ".join(report.problems()))
         arr.setflags(write=False)
         self.entries = arr
@@ -194,55 +189,56 @@ class DensityMatrix:
 
 
 class MeasurementSet:
-    """Positive semidefinite operators that sum to the identity."""
+    """Positive semidefinite operators that sum to the identity.
 
-    __slots__ = ("operators",)
+    Held as one read-only (k, n, n) float array; `operators` are views into it.
+    """
 
-    def __init__(self, operators: Sequence[np.ndarray], _validated: bool = False):
-        ops = tuple(np.array(op, dtype=float) for op in operators)
-        if not ops:
+    __slots__ = ("_stack", "operators")
+
+    def __init__(self, operators: Sequence[np.ndarray]):
+        if not (ops := tuple(operators)):
             raise ValueError("measurement needs at least one operator")
-        n = ops[0].shape[0]
-        for op in ops:
-            if op.ndim != 2 or op.shape != (n, n):
-                raise ValueError("measurement operators must be square and equally sized")
-        if not _validated:
-            for i, op in enumerate(ops):
-                _require_finite(op, f"operator {i}")
-                if np.max(np.abs(op - op.T)) > SYMMETRY_TOL:
-                    raise ValueError(f"operator {i} is not symmetric")
-                if np.linalg.eigvalsh(op)[0] < EIGENVALUE_FLOOR:
-                    raise ValueError(f"operator {i} is not positive semidefinite")
-        total = sum(ops)
-        if np.max(np.abs(total - np.eye(n))) > COMPLETENESS_TOL:
+        try:
+            stack = np.stack(ops)
+        except ValueError:  # operators of different shapes
+            stack = np.empty(0)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("measurement operators must be square and equally sized")
+        stack = stack.astype(float, copy=False)
+        _require_finite(stack, "operator {}")
+        # S - S^T is exactly antisymmetric, so its largest entry is its largest magnitude.
+        asymmetric = (stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
+        if asymmetric.any():
+            raise ValueError(f"operator {asymmetric.argmax()} is not symmetric")
+        indefinite = np.linalg.eigvalsh(stack)[:, 0] < EIGENVALUE_FLOOR
+        if indefinite.any():
+            raise ValueError(f"operator {indefinite.argmax()} is not positive semidefinite")
+        self._hold(stack)
+
+    def _hold(self, stack: np.ndarray) -> "MeasurementSet":
+        """Refuse a stack that does not sum to the identity; hold the rest read-only."""
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > COMPLETENESS_TOL:
             raise ValueError("measurement operators do not sum to the identity")
-        for op in ops:
-            op.setflags(write=False)
-        self.operators = ops
+        stack.setflags(write=False)
+        self._stack, self.operators = stack, tuple(stack)
+        return self
 
     @classmethod
     def von_neumann(cls, basis: Sequence[JspsVector] | np.ndarray) -> "MeasurementSet":
-        """Rank-one projectors a a^T over an orthonormal basis.
-
-        Orthonormality is checked directly (it already implies the
-        operators are positive semidefinite and sum to the identity).
-        """
-        rows = [
-            b.components if isinstance(b, JspsVector) else np.asarray(b, dtype=float)
-            for b in basis
-        ]
-        mat = np.vstack(rows)
+        """Rank-one projectors a a^T over an orthonormal basis, so positive semidefinite."""
+        mat = np.vstack([getattr(b, "components", b) for b in basis]).astype(float, copy=False)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("von Neumann measurement needs a complete basis")
         _require_finite(mat, "basis")
         gram_defect = np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0])))
         if gram_defect > COMPLETENESS_TOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {gram_defect:.3g})")
-        return cls([np.outer(r, r) for r in rows], _validated=True)
+        return cls.__new__(cls)._hold(np.einsum("ki,kj->kij", mat, mat))
 
     @property
     def dimension(self) -> int:
-        return int(self.operators[0].shape[0])
+        return int(self._stack.shape[1])
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -252,30 +248,34 @@ class MeasurementSet:
 
 
 def measure(rho: DensityMatrix, measurement: MeasurementSet) -> list[float]:
-    """Outcome probabilities trace(rho @ m_z) for each operator."""
-    if rho.dimension != measurement.dimension:
-        raise ValueError(
-            f"dimension mismatch: state {rho.dimension}, measurement {measurement.dimension}"
-        )
-    return [float(np.trace(rho.entries @ op)) for op in measurement]
+    """Outcome probabilities trace(rho @ m_z): one O(k n^2) einsum over the stack.
+
+    Its sums may differ from k separate traces in the last bits.
+    """
+    if (n := rho.dimension) != (m := measurement.dimension):
+        raise ValueError(f"dimension mismatch: state {n}, measurement {m}")
+    return np.einsum("ij,kji->k", rho.entries, measurement._stack).tolist()
 
 
 def sample(psi: JspsVector, seed: int, draws: int) -> list[int]:
-    """Draw outcomes with probabilities equal to the squared components.
+    """Per-outcome counts of `draws` draws with probabilities the squared components.
 
-    Inverse-CDF sampling over the cumulative squared components c, driven
-    by numpy's PCG64 generator seeded with `seed`, so counts are
-    reproducible bit-for-bit on a given platform: outcome k counts the
-    uniform draws u with c[k-1] <= u < c[k], read off the sorted draws.
-    Returns per-outcome counts summing to `draws`.
+    Inverse-CDF sampling with numpy's PCG64 generator seeded with `seed`, so
+    counts reproduce bit-for-bit on a platform: outcome k counts the uniform
+    draws u with c[k-1] <= u < c[k], c the cumulative squares, read off sorted
+    blocks of 2**14 draws in one buffer: memory is bounded, counts unchanged.
     """
     if draws < 1:
         raise ValueError(f"number of draws must be >= 1, got {draws}")
     cumulative = np.cumsum(psi.probabilities())
     cumulative[-1] = 1.0
-    u = np.random.Generator(np.random.PCG64(seed)).random(draws)
-    u.sort()
-    return np.diff(np.searchsorted(u, cumulative, side="left"), prepend=0).tolist()
+    generator = np.random.Generator(np.random.PCG64(seed))
+    buffer, below = np.empty(min(draws, _SAMPLE_BLOCK)), 0
+    for start in range(0, draws, _SAMPLE_BLOCK):
+        block = generator.random(out=buffer[: draws - start])
+        block.sort()
+        below += np.searchsorted(block, cumulative, side="left")
+    return np.diff(below, prepend=0).tolist()
 
 
 def parse_matrix(text: str) -> np.ndarray:

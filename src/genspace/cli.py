@@ -10,8 +10,9 @@ Commands:
 
 Exit codes: 0 success, 2 input error (including a number too large for a
 float, an `analyze` volume or a `code build` average length with more
-digits than Python prints, and a `code build` table path that is the
-distribution file), 3 codec/framing error, 4 an inequality check failed.
+digits than Python prints, a `code build` table path that is the
+distribution file, and a `code encode` or `code decode` output path that
+is one of its inputs), 3 codec/framing error, 4 an inequality check failed.
 A reader that closes stdout early (`genspace code decode T S | head -c1`)
 ends it quietly with 0.
 """
@@ -123,6 +124,13 @@ def _decimal(value: int, what: str, hint: str = "") -> str:
     raise ValueError(f"{what} has {digits} digits, more than the {limit} that Python prints{hint}")
 
 
+def _refuse_overwrite(out: Path, label: str, inputs: dict[str, Path]) -> None:
+    """Raise ValueError (exit 2) when the existing file `out` is one of the named inputs."""
+    for name, path in inputs.items():
+        if out.exists() and path.exists() and out.samefile(path):
+            raise ValueError(f"{label} {out} would overwrite the {name}")
+
+
 def run_analyze(args: argparse.Namespace) -> int:
     if args.exact_limit < 1:
         raise ValueError(f"--exact-limit must be >= 1, got {args.exact_limit}")
@@ -179,8 +187,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_code_build(args: argparse.Namespace) -> int:
     out = args.output or args.dist_file.with_suffix(".code")
-    if out.exists() and out.samefile(args.dist_file):
-        raise ValueError(f"code table {out} would overwrite the distribution file")
+    _refuse_overwrite(out, "code table", {"distribution file": args.dist_file})
     dist = parse_distribution(args.dist_file.read_text())
     code = build_generic_code(dist)
     stats = average_length(code, dist)
@@ -204,6 +211,8 @@ def run_code_build(args: argparse.Namespace) -> int:
 
 
 def run_code_encode(args: argparse.Namespace) -> int:
+    _refuse_overwrite(args.output_file, "output",
+                      {"code table": args.table_file, "symbols file": args.symbols_file})
     code = parse_code_table(args.table_file.read_text())
     tokens = args.symbols_file.read_text().split()
     try:
@@ -217,6 +226,9 @@ def run_code_encode(args: argparse.Namespace) -> int:
 
 
 def run_code_decode(args: argparse.Namespace) -> int:
+    if args.output_file is not None:
+        _refuse_overwrite(args.output_file, "output",
+                          {"code table": args.table_file, "stream file": args.stream_file})
     code = parse_code_table(args.table_file.read_text())
     bits = unframe_bits(args.stream_file.read_bytes())
     symbols = decode(code, bits)

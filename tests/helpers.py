@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution, PrefixCode
+from genspace.born import COMPLETENESS_TOL, EIGENVALUE_FLOOR, SYMMETRY_TOL
 from genspace.distribution import _int_tokens
 
 
@@ -192,6 +193,38 @@ def jacobi_eigenvalues(
     if off_norm() <= tol:
         return np.sort(a.diagonal().copy())
     raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+
+
+def reference_measurement_set(ops):
+    """Per-operator checks: the oracle for the stacked `MeasurementSet` checks.
+
+    Copies each operator, then checks finiteness, symmetry and positivity
+    one operator at a time, and completeness last, with the library's
+    messages and tolerances.  Returns the copies.
+    """
+    ops = tuple(np.array(op, dtype=float) for op in ops)
+    if not ops:
+        raise ValueError("measurement needs at least one operator")
+    n = ops[0].shape[0]
+    for op in ops:
+        if op.ndim != 2 or op.shape != (n, n):
+            raise ValueError("measurement operators must be square and equally sized")
+    for i, op in enumerate(ops):
+        if not np.isfinite(op).all():
+            r, c = np.argwhere(~np.isfinite(op))[0]
+            raise ValueError(f"operator {i} entry ({r}, {c}) is {op[r, c]}; entries must be finite")
+        if np.max(np.abs(op - op.T)) > SYMMETRY_TOL:
+            raise ValueError(f"operator {i} is not symmetric")
+        if np.linalg.eigvalsh(op)[0] < EIGENVALUE_FLOOR:
+            raise ValueError(f"operator {i} is not positive semidefinite")
+    if np.max(np.abs(sum(ops) - np.eye(n))) > COMPLETENESS_TOL:
+        raise ValueError("measurement operators do not sum to the identity")
+    return ops
+
+
+def reference_measure(rho, ops):
+    """The k traces trace(rho @ m_z): the oracle for the one-einsum `measure`."""
+    return [float(np.trace(rho.entries @ op)) for op in ops]
 
 
 def reference_sample(psi, seed, draws):

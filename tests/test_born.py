@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genspace import (
@@ -19,12 +20,14 @@ from genspace import (
     sample,
     validate_density,
 )
-from genspace.born import format_matrix, parse_matrix
+from genspace.born import _SAMPLE_BLOCK, format_matrix, parse_matrix
 from helpers import (
     gram_schmidt_basis,
     jacobi_eigenvalues,
     random_distribution,
     random_unit_vector,
+    reference_measure,
+    reference_measurement_set,
     reference_sample,
 )
 
@@ -319,6 +322,157 @@ class TestMeasure:
         with pytest.raises(ValueError, match="positive semidefinite"):
             MeasurementSet(ops)
 
+    @pytest.mark.parametrize(
+        "faults, message, reference_message",
+        [
+            # Operator 0 is asymmetric, operator 1 holds a NaN: finiteness is checked first.
+            (("asymmetric", "nan"), r"operator 1 entry \(1, 1\) is nan",
+             "operator 0 is not symmetric"),
+            # Operator 0 is indefinite, operator 1 asymmetric: symmetry is checked before PSD.
+            (("indefinite", "asymmetric"), "operator 1 is not symmetric",
+             "operator 0 is not positive semidefinite"),
+        ],
+    )
+    def test_several_faults_name_the_first_failing_check(self, faults, message, reference_message):
+        # The checks run over the whole stack in the order finite, symmetric,
+        # PSD, so the error names the first operator of the first failing
+        # check; the per-operator reference names the first faulty operator.
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        for op, fault in zip(ops, faults):
+            if fault == "nan":
+                op[1, 1] = math.nan
+            elif fault == "asymmetric":
+                op[0, 1] = 0.5
+            else:
+                op -= 0.5
+        with pytest.raises(ValueError, match=message):
+            MeasurementSet(ops)
+        with pytest.raises(ValueError, match=reference_message):
+            reference_measurement_set(ops)
+
+    def test_operators_are_read_only_views_of_one_copy(self):
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        mset = MeasurementSet(ops)
+        ops[0][0, 0] = 5.0
+        assert isinstance(mset.operators, tuple) and len(mset) == 2 and mset.dimension == 2
+        assert all(a is b for a, b in zip(mset, mset.operators))
+        assert mset.operators[0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        base = mset.operators[0].base
+        for op in mset.operators:
+            assert op.shape == (2, 2) and op.base is base and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 2.0
+        for op in MeasurementSet.von_neumann(np.eye(2)).operators:
+            assert not op.flags.writeable
+
+    def test_von_neumann_projectors_are_outer_products(self):
+        basis = gram_schmidt_basis(np.random.default_rng(83), 5)
+        for op, row in zip(MeasurementSet.von_neumann(basis), basis):
+            assert np.array_equal(op, np.outer(row, row))
+
+
+def _povm(rng, n, k):
+    """W A_i W for random positive definite A_i, with W = (sum A_i)^(-1/2)."""
+    parts = []
+    for _ in range(k):
+        g = rng.normal(size=(n, n)) / math.sqrt(n)
+        parts.append(g @ g.T + np.eye(n) / k)
+    w, v = np.linalg.eigh(sum(parts))
+    root = v @ np.diag(w**-0.5) @ v.T
+    return [(m + m.T) / 2 for m in (root @ a @ root for a in parts)]
+
+
+@st.composite
+def valid_measurements(draw):
+    """A valid operator list with n <= 24 and k <= 8, and a density of its dimension.
+
+    Projector splits of a random orthonormal basis, POVMs, or the
+    projectors of a von Neumann basis (then n = k).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["split", "povm", "von_neumann"]))
+    n = draw(st.integers(1, 8 if kind == "von_neumann" else 24))
+    basis = gram_schmidt_basis(rng, n)
+    if kind == "von_neumann":
+        ops = [np.array(op) for op in MeasurementSet.von_neumann(basis)]
+    elif kind == "povm":
+        ops = _povm(rng, n, draw(st.integers(1, 8)))
+    else:
+        k = draw(st.integers(1, min(8, n)))
+        labels = rng.permutation(n) % k
+        ops = [basis[labels == g].T @ basis[labels == g] for g in range(k)]
+    q = gram_schmidt_basis(rng, n)
+    rho = DensityMatrix(q @ np.diag(rng.dirichlet(np.ones(n))) @ q.T)
+    return ops, rho
+
+
+@st.composite
+def faulty_measurements(draw):
+    """A valid operator list with one fault at a drawn operator, and the fault.
+
+    The fault is a NaN or infinite entry, an asymmetric pair, an eigenvalue
+    below the floor, a wrong shape, no operators at all, or a sum off the
+    identity.  A "near_floor" case moves the smallest eigenvalue to within
+    1% of the floor, on either side, and may be valid.
+    """
+    ops, _ = draw(valid_measurements())
+    n, k = ops[0].shape[0], len(ops)
+    i = draw(st.integers(0, k - 1))
+    op = ops[i]
+    faults = ["nan", "inf", "-inf", "indefinite", "near_floor", "shape", "empty", "incomplete"]
+    fault = draw(st.sampled_from(faults + (["asymmetric"] if n > 1 else [])))
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault in ("nan", "inf", "-inf"):
+        op[r, c] = float(fault)
+    elif fault == "asymmetric":
+        c = draw(st.integers(0, n - 2))
+        c += c >= r
+        op[r, c] += draw(st.sampled_from([-1, 1])) * 10.0 ** -draw(st.integers(3, 11))
+    elif fault == "indefinite":
+        u = random_unit_vector(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+        ops[i] = op - (u @ op @ u + 10.0 ** -draw(st.integers(2, 8))) * np.outer(u, u)
+    elif fault == "near_floor":
+        w, v = np.linalg.eigh(op)
+        ops[i] = op - (w[0] + draw(st.floats(0.99e-10, 1.01e-10))) * np.outer(v[:, 0], v[:, 0])
+    elif fault == "shape":
+        shape = draw(st.sampled_from([(n + 1, n + 1), (n, n + 1), (n + 1, n), (n,)]))
+        ops[i] = np.zeros(shape)
+    elif fault == "empty":
+        ops = []
+    else:
+        ops[i] = op * (1 + 10.0 ** -draw(st.integers(1, 5)))
+    return ops, fault
+
+
+def _outcome(build, ops):
+    """(exception type, message) of build(ops), or None when it accepts them."""
+    try:
+        build(ops)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(deadline=None)
+@given(valid_measurements())
+def test_valid_measurements_match_reference(case):
+    ops, rho = case
+    reference = reference_measurement_set(ops)
+    mset = MeasurementSet(ops)
+    assert [op.tolist() for op in mset] == [op.tolist() for op in reference]
+    probs = measure(rho, mset)
+    assert probs == pytest.approx(reference_measure(rho, reference), rel=0, abs=1e-14)
+    assert all(type(p) is float for p in probs)
+
+
+@settings(deadline=None)
+@given(faulty_measurements())
+def test_faulty_measurements_match_reference(case):
+    ops, fault = case
+    expected = _outcome(reference_measurement_set, ops)
+    assert expected is not None or fault == "near_floor"
+    assert _outcome(MeasurementSet, ops) == expected
+
 
 class TestSample:
     def test_certainty(self):
@@ -400,6 +554,29 @@ def state_vectors(draw):
 @given(state_vectors(), st.integers(0, 2**63 - 1), st.integers(1, 3000))
 def test_sample_matches_per_draw_reference(psi, seed, draws):
     assert sample(psi, seed, draws) == reference_sample(psi, seed, draws)
+
+
+@pytest.mark.parametrize(
+    "draws", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 7]
+)
+@pytest.mark.parametrize("seed", [0, 17, 2**63 - 1])
+def test_sample_across_block_bounds_matches_reference(draws, seed):
+    psi = JspsVector([0.0, 0.6, 0.0, 0.8, 0.0])
+    counts = sample(psi, seed, draws)
+    assert counts == reference_sample(psi, seed, draws)
+    assert counts[0] == counts[2] == counts[4] == 0 and sum(counts) == draws
+
+
+def test_sample_memory_does_not_grow_with_draws():
+    psi = JspsVector([math.sqrt(0.5)] * 2)
+    tracemalloc.start()
+    try:
+        counts = sample(psi, 3, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 2_000_000
+    assert peak < 4 * 2**20
 
 
 class TestMatrixText:

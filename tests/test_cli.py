@@ -352,6 +352,34 @@ class TestCode:
         assert dist.read_text() == "1/2 1/4 1/4\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.code", "sub"]
 
+    @pytest.mark.parametrize("prefix", ["", "sub/../"])
+    @pytest.mark.parametrize(
+        "command, overwritten, name",
+        [
+            ("encode", "d.code", "code table"),
+            ("encode", "s.txt", "symbols file"),
+            ("decode", "d.code", "code table"),
+            ("decode", "s.gsc", "stream file"),
+        ],
+    )
+    def test_encode_and_decode_refuse_to_overwrite_an_input(
+        self, tmp_path, capsys, monkeypatch, prefix, command, overwritten, name
+    ):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        Path("d.code").write_text("0\t0\n1\t10\n2\t11\n")
+        Path("s.txt").write_text("0 1 2 2 1 0\n")
+        Path("s.gsc").write_bytes(frame_bits("01011111100"))
+        before = {p: p.read_bytes() for p in map(Path, ("d.code", "s.txt", "s.gsc"))}
+        inputs = ["d.code", "s.txt"] if command == "encode" else ["d.code", "s.gsc"]
+        out = prefix + overwritten
+        assert main(["code", command, *inputs, out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output {out} would overwrite the {name}\n"
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.code", "s.gsc", "s.txt", "sub"]
+
 
 class TestTable1:
     def test_rows(self, capsys):
