@@ -151,11 +151,16 @@ def validate_density(matrix: np.ndarray) -> DensityValidation:
 
     Eigenvalues (ascending) come from ``np.linalg.eigvalsh`` applied to
     the symmetric part; a floor of -1e-10 absorbs rounding in user input.
-    Non-finite entries raise ValueError.
+    Complex entries, even with a zero imaginary part, an empty matrix and
+    non-finite entries raise ValueError.
     """
+    if np.iscomplexobj(matrix):
+        raise ValueError("density matrix is complex; entries must be real")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise ValueError("density matrix must be at least 1 x 1")
     _require_finite(a, "matrix")
     symmetry_defect = float(np.max(np.abs(a - a.T), initial=0.0))
     trace_defect = float(abs(np.trace(a) - 1.0))
@@ -172,9 +177,9 @@ class DensityMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: np.ndarray):
-        arr = np.array(entries, dtype=float)
-        if not (report := validate_density(arr)).valid:
+        if not (report := validate_density(entries)).valid:
             raise ValueError("not a density matrix: " + "; ".join(report.problems()))
+        arr = np.array(entries, dtype=float)
         arr.setflags(write=False)
         self.entries = arr
 
@@ -192,6 +197,7 @@ class MeasurementSet:
     """Positive semidefinite operators that sum to the identity.
 
     Held as one read-only (k, n, n) float array; `operators` are views into it.
+    Complex operators are refused, even with a zero imaginary part.
     """
 
     __slots__ = ("_stack", "operators")
@@ -205,6 +211,11 @@ class MeasurementSet:
             stack = np.empty(0)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("measurement operators must be square and equally sized")
+        if not stack.size:
+            raise ValueError("measurement operators must be at least 1 x 1")
+        if np.iscomplexobj(stack):
+            i = next(i for i, op in enumerate(ops) if np.iscomplexobj(op))
+            raise ValueError(f"operator {i} is complex; entries must be real")
         stack = stack.astype(float, copy=False)
         _require_finite(stack, "operator {}")
         # S - S^T is exactly antisymmetric, so its largest entry is its largest magnitude.
@@ -227,7 +238,11 @@ class MeasurementSet:
     @classmethod
     def von_neumann(cls, basis: Sequence[JspsVector] | np.ndarray) -> "MeasurementSet":
         """Rank-one projectors a a^T over an orthonormal basis, so positive semidefinite."""
-        mat = np.vstack([getattr(b, "components", b) for b in basis]).astype(float, copy=False)
+        if not (rows := [getattr(b, "components", b) for b in basis]):
+            raise ValueError("von Neumann measurement needs at least one basis vector")
+        if np.iscomplexobj(mat := np.vstack(rows)):
+            raise ValueError("basis is complex; entries must be real")
+        mat = mat.astype(float, copy=False)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("von Neumann measurement needs a complete basis")
         _require_finite(mat, "basis")

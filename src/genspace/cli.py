@@ -26,16 +26,16 @@ import os
 import sys
 from pathlib import Path
 
+from ._decoder import decode_hex
 from .coding import (
     DecodeError,
+    _unframe,
     average_length,
     build_generic_code,
-    decode,
     encode,
     format_code_table,
     frame_bits,
     parse_code_table,
-    unframe_bits,
 )
 from .distribution import _int_tokens, format_distribution, parse_distribution
 from .entropy import (
@@ -230,9 +230,9 @@ def run_code_decode(args: argparse.Namespace) -> int:
         _refuse_overwrite(args.output_file, "output",
                           {"code table": args.table_file, "stream file": args.stream_file})
     code = parse_code_table(args.table_file.read_text())
-    bits = unframe_bits(args.stream_file.read_bytes())
-    symbols = decode(code, bits)
-    text = " ".join(str(s) for s in symbols) + "\n"
+    symbols = decode_hex(code.codewords, *_unframe(args.stream_file.read_bytes()))
+    names = [str(i) for i in range(code.size)]
+    text = " ".join([names[s] for s in symbols]) + "\n"
     if args.output_file is not None:
         args.output_file.write_text(text)
         print(f"decoded {len(symbols)} symbols to {args.output_file}")

@@ -17,7 +17,7 @@ j < i), the canonical codeword value.  The two assignments give the same words.
 Streams are strings of "0"/"1" characters, and :func:`frame_bits` packs
 them into the GSC1 container.  :func:`decode` accepts every prefix-free
 code: canonical or not, complete or not (Kraft sum < 1), with codewords of
-any length.
+any length, through the 4-bit state table of :mod:`genspace._decoder`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import struct
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from ._decoder import DecodeError, decode_hex
 from .distribution import ExactDistribution, GenericSpace, _int_tokens, _make_checked
 from .entropy import shannon_entropy
 
@@ -48,16 +49,8 @@ STREAM_MAGIC = b"GSC1"
 
 MODES = ("exact", "fallback", "huffman")
 
-# Width in bits of the decoder's root window (zlib's inflate uses 9), so the
-# root table has at most 2**_ROOT_BITS entries.
-_ROOT_BITS = 10
-
 # str.translate table that deletes "0" and "1": whatever is left is not a bit.
 _DELETE_BITS = str.maketrans("", "", "01")
-
-
-class DecodeError(ValueError):
-    """A bit stream does not decode under the given code or framing."""
 
 
 _PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple), ("mode", str)])
@@ -190,90 +183,18 @@ def encode(code: PrefixCode, symbols: Sequence[int]) -> str:
     raise ValueError(f"symbol index {bad} out of range for a {n}-symbol code")
 
 
-def _window_table(
-    words: Sequence[str], lengths: set[int]
-) -> tuple[int, dict, dict, list[int]]:
-    """Decoding tables for a prefix-free code without an empty codeword.
-
-    ``lengths`` is the set of the codeword lengths.
-
-    Returns ``(width, leaves, table, long_lengths)``.  ``leaves`` maps every
-    ``width``-bit window that starts with a codeword of at most ``width``
-    bits to that codeword's (symbol, length).  ``table`` maps every codeword
-    to its symbol; it resolves the codewords longer than ``width``, whose
-    distinct lengths are ``long_lengths``, in ascending order.
-    """
-    width = min(max(lengths), _ROOT_BITS)
-    table = dict(zip(words, range(len(words))))
-    # tails[k] lists the k-bit strings that complete a codeword k bits
-    # shorter than `width` to a full window: bin(2**k + i) is "0b1" and then
-    # i in k bits.
-    tails = {
-        k: [bin(i)[3:] for i in range(1 << k, 2 << k)]
-        for k in {width - n for n in lengths if n <= width}
-    }
-    leaves = {
-        word + tail: (symbol, len(word))
-        for symbol, word in enumerate(words)
-        if len(word) <= width
-        for tail in tails[width - len(word)]
-    }
-    return width, leaves, table, sorted(n for n in lengths if n > width)
-
-
-def _decode_error(bits: str, pos: int, max_len: int) -> DecodeError:
-    """The error for a stream whose codeword starting at `pos` fails to match."""
-    _require_bits(bits, DecodeError)
-    if len(bits) - pos >= max_len:
-        return DecodeError(f"bits {bits[pos : pos + max_len]!r} match no codeword")
-    return DecodeError(f"incomplete codeword {bits[pos:]!r} at end of stream")
-
-
 def decode(code: PrefixCode, bits: str) -> list[int]:
     """Recover the unique symbol sequence from concatenated codewords.
 
-    Raises :class:`DecodeError` on bits that match no codeword or on a
-    truncated final codeword.
+    Reads the stream 4 bits at a time through a state table that holds only
+    the states the stream reaches (:mod:`genspace._decoder`), and the last
+    len(bits) % 4 bits one at a time.  Raises :class:`DecodeError` on bits
+    that match no codeword or on a truncated final codeword.
     """
-    words = code.codewords
-    lengths = set(map(len, words))
-    max_len = max(lengths)
-    if max_len == 0:
-        _require_bits(bits, DecodeError)
-        if bits:
-            raise DecodeError("zero-length codeword is not uniquely decodable")
-        return []
-    width, leaves, table, long_lengths = _window_table(words, lengths)
+    _require_bits(bits, DecodeError)
     n = len(bits)
-    # Zero padding lets every window be full width; a codeword that reaches
-    # into the padding is caught after the loop.  Every consumed bit lies in
-    # a matched codeword, so the stream is checked for non-bit characters
-    # only on the error path.
-    padded = bits + "0" * max_len
-    out: list[int] = []
-    append = out.append
-    pos = 0
-    # The inner loop is the fast path.  A window missing from the root table
-    # (a codeword longer than `width`, or bad bits) lands in the handler,
-    # which resolves one codeword through `table` and re-enters the loop.
-    while pos < n:
-        try:
-            while pos < n:
-                symbol, length = leaves[padded[pos : pos + width]]
-                append(symbol)
-                pos += length
-        except KeyError:
-            for length in long_lengths:
-                symbol = table.get(padded[pos : pos + length])
-                if symbol is not None:
-                    break
-            else:
-                raise _decode_error(bits, pos, max_len) from None
-            append(symbol)
-            pos += length
-    if pos > n:
-        raise _decode_error(bits, pos - len(words[out.pop()]), max_len)
-    return out
+    digits = format(int(bits or "0", 2) << (-n % 4), f"0{(n + 3) // 4}x")
+    return decode_hex(code.codewords, digits, n)
 
 
 def average_length(code: PrefixCode, dist: ExactDistribution) -> CodeStats:
@@ -335,22 +256,23 @@ def frame_bits(bits: str) -> bytes:
     return STREAM_MAGIC + struct.pack("<Q", len(bits)) + payload
 
 
-def unframe_bits(blob: bytes) -> str:
-    """Inverse of :func:`frame_bits`, with strict container validation."""
+def _unframe(blob: bytes) -> tuple[str, int]:
+    """The payload of a GSC1 stream in hex digits, and its bit count, after the checks."""
     if len(blob) < 12 or blob[:4] != STREAM_MAGIC:
         raise DecodeError("missing GSC1 stream header")
     (bit_count,) = struct.unpack("<Q", blob[4:12])
     payload = blob[12:]
-    expected_bytes = (bit_count + 7) // 8
-    if len(payload) != expected_bytes:
-        raise DecodeError(
-            f"payload holds {len(payload)} bytes, header declares {bit_count} bits"
-        )
-    value = int.from_bytes(payload, "big")
-    padding = 8 * expected_bytes - bit_count
-    if value & ((1 << padding) - 1):
+    if len(payload) != (bit_count + 7) // 8:
+        raise DecodeError(f"payload holds {len(payload)} bytes, header declares {bit_count} bits")
+    if payload and payload[-1] & ((1 << (-bit_count % 8)) - 1):
         raise DecodeError("nonzero padding bits in final byte")
-    return format(value >> padding, f"0{bit_count}b") if bit_count else ""
+    return payload.hex(), bit_count
+
+
+def unframe_bits(blob: bytes) -> str:
+    """Inverse of :func:`frame_bits`, with strict container validation."""
+    digits, bit_count = _unframe(blob)
+    return format(int(digits, 16) >> (-bit_count % 8), f"0{bit_count}b") if bit_count else ""
 
 
 def format_code_table(code: PrefixCode) -> str:

@@ -97,7 +97,10 @@ def combinatorial_volumes(
     if exact:
         v_info = math.prod(c**c for c in space.counts)
         v_uinfo = d**d
-        ratio = Fraction(v_uinfo, v_info)
+        # Shifting out the common power of two first spares Fraction a long gcd
+        # when D is a power of two (the exponent is the lowest set bit's index).
+        twos = min((v & -v).bit_length() - 1 for v in (v_uinfo, v_info))
+        ratio = Fraction(v_uinfo >> twos, v_info >> twos)
     else:
         v_info = v_uinfo = ratio = None
     return VolumeReport(

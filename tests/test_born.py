@@ -237,6 +237,41 @@ class TestValidateDensity:
         assert measure(rho, povm) == pytest.approx(np.diag(rho.entries), abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test
+class TestRefusedInput:
+    """Complex and empty inputs are refused with a message that names them."""
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_complex_operator(self, imag):
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) + 1j * imag]
+        with pytest.raises(ValueError, match="^operator 1 is complex; entries must be real$"):
+            MeasurementSet(ops)
+        with pytest.raises(ValueError, match="^basis is complex; entries must be real$"):
+            MeasurementSet.von_neumann(np.eye(2) + 1j * imag)
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_complex_density(self, imag):
+        message = "^density matrix is complex; entries must be real$"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.diag([0.5, 0.5]) + 1j * imag)
+        with pytest.raises(ValueError, match=message):
+            validate_density([[0.5, 0.0], [0.0, 0.5 + 1j * imag]])
+
+    def test_empty_operator(self):
+        with pytest.raises(ValueError, match="^measurement operators must be at least 1 x 1$"):
+            MeasurementSet([np.zeros((0, 0))])
+
+    def test_empty_density(self):
+        with pytest.raises(ValueError, match="^density matrix must be at least 1 x 1$"):
+            DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("basis", [[], np.zeros((0, 3))])
+    def test_empty_basis(self, basis):
+        message = "^von Neumann measurement needs at least one basis vector$"
+        with pytest.raises(ValueError, match=message):
+            MeasurementSet.von_neumann(basis)
+
+
 class TestMeasure:
     def test_diagonal_density_standard_projectors(self):
         probs = [0.5, 0.25, 0.125, 0.125]

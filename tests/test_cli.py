@@ -297,6 +297,28 @@ class TestCode:
         assert main(["code", "decode", str(table), str(stream)]) == 0
         assert capsys.readouterr().out.strip() == "3 2 1 0"
 
+    def test_decode_text_with_multi_digit_symbols(self, tmp_path, capsys):
+        # 300 outcomes of 1/300: a 300-symbol fallback code of 9-bit words.
+        dist = tmp_path / "u300.dist"
+        dist.write_text("1/300 " * 300 + "\n")
+        table, symbols, stream = (tmp_path / n for n in ("u300.code", "s.txt", "s.gsc"))
+        sent = [0, 9, 10, 99, 100, 101, 255, 256, 299, 7, 299]
+        symbols.write_text(" ".join(map(str, sent)) + "\n")
+        assert main(["code", "build", str(dist)]) == 0
+        assert main(["code", "encode", str(table), str(symbols), str(stream)]) == 0
+        capsys.readouterr()
+        assert main(["code", "decode", str(table), str(stream)]) == 0
+        assert capsys.readouterr().out == symbols.read_text()
+        # Flipping the second bit of the last 299 (100101011) gives no codeword.
+        blob = bytearray(stream.read_bytes())
+        bit = 12 * 8 + 10 * 9 + 1
+        blob[bit // 8] ^= 0x80 >> bit % 8
+        stream.write_bytes(bytes(blob))
+        assert main(["code", "decode", str(table), str(stream)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bits '110101011' match no codeword\n"
+
     def test_decode_corrupt_stream_exits_3(self, shannon_dist, tmp_path, capsys):
         table = tmp_path / "shannon.code"
         stream = tmp_path / "bad.gsc"

@@ -1,5 +1,7 @@
 import struct
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ from genspace.coding import (
     _canonical_codewords,
     _ceil_log2_ratios,
     _kraft_sum,
+    _unframe,
     format_code_table,
     parse_code_table,
 )
+from genspace._decoder import decode_hex
 from genspace.distribution import parse_distribution
 from helpers import (
     distribution_texts,
@@ -40,6 +44,7 @@ from helpers import (
     reference_decode,
     reference_generic_code,
     reference_prefix_code_error,
+    window_decode,
 )
 
 F = Fraction
@@ -346,7 +351,9 @@ def bit_streams(draw, code):
     symbols = draw(st.lists(st.integers(0, code.size - 1), max_size=30))
     bits = encode(code, symbols)
     change = draw(
-        st.sampled_from(["none", "truncate", "flip", "append", "random", "non-bit"])
+        st.sampled_from(
+            ["none", "truncate", "flip", "append", "random", "non-bit", "flip-after-symbol"]
+        )
     )
     if change == "truncate" and bits:
         bits = bits[: draw(st.integers(0, len(bits) - 1))]
@@ -360,6 +367,15 @@ def bit_streams(draw, code):
     elif change == "non-bit":
         i = draw(st.integers(0, len(bits)))
         bits = bits[:i] + draw(st.sampled_from(["2", " ", "_", "x"])) + bits[i:]
+    elif change == "flip-after-symbol" and bits:
+        # The bit after a codeword that ends inside a 4-bit step, so the step
+        # that completes the symbol also reads the bad bit.
+        ends = accumulate(len(code.codewords[s]) for s in symbols)
+        inside = [e for e in ends if e % 4 and e < len(bits)] or [len(bits) - 1]
+        i = draw(st.sampled_from(inside))
+        bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+    if draw(st.booleans()):  # a length that is not a multiple of 4
+        bits = bits[: len(bits) - len(bits) % 4 + draw(st.sampled_from([1, 2, 3]))]
     return bits
 
 
@@ -368,6 +384,16 @@ def _decode_outcome(decoder, code, bits):
         return decoder(code, bits)
     except DecodeError as exc:
         return f"DecodeError: {exc}"
+
+
+def _assert_decodes_like_oracles(code, bits):
+    """`decode` agrees with both oracles; a bit stream also decodes through GSC1."""
+    outcome = _decode_outcome(decode, code, bits)
+    assert outcome == _decode_outcome(reference_decode, code, bits)
+    assert outcome == _decode_outcome(window_decode, code, bits)
+    if not set(bits) - {"0", "1"}:
+        framed = _unframe(frame_bits(bits))
+        assert _decode_outcome(lambda c, _: decode_hex(c.codewords, *framed), code, bits) == outcome
 
 
 def _fraction_kraft_sum(words):
@@ -388,14 +414,11 @@ def test_code_table_mode_follows_fraction_kraft_sum(code):
 
 @given(prefix_codes(), st.data())
 def test_decode_matches_bit_by_bit_reference(code, data):
-    bits = data.draw(bit_streams(code))
-    assert _decode_outcome(decode, code, bits) == _decode_outcome(
-        reference_decode, code, bits
-    )
+    _assert_decodes_like_oracles(code, data.draw(bit_streams(code)))
 
 
 class TestDecodeAgainstReference:
-    """Fixed cases for the table decoder's edges, checked against the oracle."""
+    """Fixed cases for the table decoder's edges, checked against both oracles."""
 
     LONG = PrefixCode(("0", "10", "11" + "0" * 38, "11" + "1" * 38), mode="fallback")
 
@@ -419,12 +442,24 @@ class TestDecodeAgainstReference:
             (PrefixCode(("01",), mode="fallback"), "010"),
             # A non-bit character after a decoding error still wins.
             (DYADIC_CODE, "11x"),
+            # A 4-bit step completes a symbol and then reaches a dead prefix.
+            (PrefixCode(("0", "10", "110"), mode="fallback"), "00111"),
+            (PrefixCode(("0", "10", "110"), mode="fallback"), "01110"),
+            (PrefixCode(("00", "01"), mode="fallback"), "0010"),
+            # A codeword of 32 bits or more is looked up on the stream: it ends
+            # on a step boundary, inside a step, and in the last bits.
+            (LONG, "11" + "1" * 38 + "0"),
+            (LONG, "0" + "11" + "0" * 38 + "10" + "0"),
+            (LONG, "10" + "11" + "1" * 38 + "1"),
+            (LONG, "10" + "11" + "1" * 30),
+            # Streams of 1, 2 and 3 bits past the last full step.
+            (DYADIC_CODE, "01101110"),
+            (DYADIC_CODE, "0110111011"),
+            (DYADIC_CODE, "01101110111"),
         ],
     )
     def test_matches_reference(self, code, bits):
-        assert _decode_outcome(decode, code, bits) == _decode_outcome(
-            reference_decode, code, bits
-        )
+        _assert_decodes_like_oracles(code, bits)
 
     def test_long_codewords_round_trip(self):
         symbols = [2, 0, 3, 1, 1, 2, 3, 0]
@@ -441,9 +476,29 @@ class TestDecodeAgainstReference:
         assert decode(code, bits) == symbols
         missing = "00000000101"
         for stream in (bits[:-3], bits + missing, missing + bits, bits[:-20] + "1"):
-            assert _decode_outcome(decode, code, stream) == _decode_outcome(
-                reference_decode, code, stream
-            )
+            _assert_decodes_like_oracles(code, stream)
+
+    def test_codeword_of_10000_bits(self):
+        # Its prefixes are no table states, so memory stays near the stream's size.
+        code = build_generic_code(GenericSpace(2**10000, (1, 2**10000 - 1)))
+        symbols = [1, 0, 1, 1, 0, 0, 1]
+        bits = encode(code, symbols)
+        tracemalloc.start()
+        try:
+            assert decode(code, bits) == symbols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for stream in (bits[:5000], bits[:-2], "1" + "0" * 9998 + "1" + bits, bits + "1" * 9000):
+            _assert_decodes_like_oracles(code, stream)
+
+    def test_round_trip_with_a_4096_symbol_code(self):
+        rng = np.random.default_rng(89)
+        code = build_generic_code(GenericSpace(2**13 + 1, (3,) + (2,) * 4095))
+        assert code.size == 2**12
+        symbols = [int(s) for s in rng.integers(0, code.size, size=20_000)]
+        assert decode(code, encode(code, symbols)) == symbols
 
     def test_non_canonical_table(self):
         code = parse_code_table("0\t11\n1\t0\n2\t101\n3\t100\n")

@@ -24,6 +24,7 @@ from genspace import (
 from genspace.distribution import parse_distribution
 from genspace.entropy import DEFAULT_EXACT_LIMIT
 from helpers import (
+    _composition,
     decimal_projection_entropy,
     distribution_texts,
     fraction_parse,
@@ -89,6 +90,33 @@ class TestCombinatorialVolumes:
         for _ in range(30):
             space = generic_space(random_distribution(rng, min_outcomes=2))
             assert combinatorial_volumes(space).ratio > 1
+
+
+@st.composite
+def exact_volume_spaces(draw):
+    """Dyadic spaces, whose volumes share a large power of two, and spaces of odd D."""
+    if draw(st.booleans()):
+        dimension = 2 ** draw(st.integers(0, 12))
+        counts = [dimension]
+        for i in draw(st.lists(st.integers(0, 63), max_size=40)):
+            if counts[i % len(counts)] > 1:
+                half = counts.pop(i % len(counts)) // 2
+                counts += [half, half]
+    else:
+        dimension = 2 * draw(st.integers(1, 2047)) + 1
+        counts = _composition(draw, dimension, draw(st.integers(1, min(dimension, 8))))
+    return GenericSpace(dimension, tuple(counts))
+
+
+@given(exact_volume_spaces())
+@example(GenericSpace(4096, (64,) * 64))
+def test_exact_ratio_is_the_reduced_fraction(space):
+    report = combinatorial_volumes(space, exact_limit=space.dimension)
+    assert report.ratio == Fraction(report.v_uinfo, report.v_info)
+    assert (report.v_info, report.v_uinfo) == (
+        math.prod(c**c for c in space.counts),
+        space.dimension**space.dimension,
+    )
 
 
 class TestShannonEntropy:
