@@ -63,7 +63,10 @@ class JspsVector:
     __slots__ = ("components",)
 
     def __init__(self, components: Iterable[float]):
-        arr = np.asarray(tuple(components), dtype=float)
+        arr = np.asarray(tuple(components))
+        if np.iscomplexobj(arr):
+            raise ValueError("state vector is complex; components must be real")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("state vector must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):

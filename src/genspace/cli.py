@@ -135,6 +135,8 @@ def run_analyze(args: argparse.Namespace) -> int:
     if args.exact_limit < 1:
         raise ValueError(f"--exact-limit must be >= 1, got {args.exact_limit}")
     dist = parse_distribution(args.dist_file.read_text())
+    # Every token was under the digit limit, but D, their lcm, may not be; no count exceeds D.
+    d_text = _decimal(dist.dimension, "generic dimension D")
     volumes = combinatorial_volumes(dist, args.exact_limit)
     if volumes.exact_computed:
         # v_uinfo = D**D is the largest exact value: v_info and the ratio's terms are no larger.
@@ -167,7 +169,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     lines = [
         f"distribution:        {format_distribution(dist)}",
         f"N (outcomes):        {dist.size}",
-        f"D (generic dim):     {dist.dimension}",
+        f"D (generic dim):     {d_text}",
         f"counts:              {' '.join(str(c) for c in dist.counts)}",
         f"v_info:              {volumes.v_info if exact else skipped}",
         f"v_uinfo:             {volumes.v_uinfo if exact else skipped}",

@@ -123,10 +123,11 @@ class ExactDistribution(_ReducedSpace):
     Stored as its reduced generic space: `dimension` D and integer
     `counts`, with p_i = counts[i] / D.  Input order defines outcome
     identity; entries are never sorted or deduplicated.  `probs`, the
-    reduced `Fraction` view, is built on first use.
+    reduced `Fraction` view, is built on first use, and so is `_bits`, the
+    Shannon entropy in bits that the entropy layer keeps.
     """
 
-    __slots__ = ()
+    __slots__ = ("_bits",)
 
     def __init__(self, probs: Iterable[Fraction | int]):
         entries = tuple(Fraction(p) for p in probs)

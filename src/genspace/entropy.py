@@ -11,15 +11,19 @@ uncertainty.
 Every formula reads the integer generic space (D, counts) of the
 distribution; a probability becomes the float c / D (the correctly rounded
 quotient of two integers) only inside the final logarithm or
-multiplication.  The tests hold the direct-formula and volume-ratio routes
-to an absolute difference of 1e-9 for D <= 512 (acceptance criterion 3);
-near-certain inputs with a large D lose digits to cancellation in both
-routes (ROADMAP item 1).
+multiplication.  One kernel, `_log_ratio`, sums (m/d) * log2(a/b) over
+integer triples with a derived error bound: the Shannon entropy is the
+triples (c, D, c), the joint entropy the same over the cells, mutual
+information (m, m*D, r*c), and log2(R) is D * H, formed exactly and rounded
+once.  Each is within (4 * bits(D) + 5) eps of the sum of its terms' sizes,
+at any D the parser accepts and near certainty too; a log volume past the
+float range is inf, never nan.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -54,6 +58,10 @@ class VolumeReport(NamedTuple):
 
     `v_info`, `v_uinfo` and `ratio` are present only when the exact path
     ran (`exact_computed`); the log2 fields are always filled in.
+    `log2_ratio` is D * H from the entropy kernel, not a difference of the
+    log volumes, so log2_ratio / D is within the kernel's bound of H.  Each
+    log2 field is inf where its value is past the float range (the log
+    volumes from about D = 2^1014), and none is ever nan.
     """
 
     v_info: int | None
@@ -81,18 +89,47 @@ class EntropySuite(NamedTuple):
     tsallis: tuple[float, float] | None = None
 
 
+def _log_ratio(d: int, triples: Iterable[tuple[int, int, int]]) -> tuple[float, float]:
+    """math.fsum of (m/d) * log2(a/b) over integer triples, and a bound on its error.
+
+    For 1 <= m <= d, 1 <= a, b <= d**2 and 1/d <= a/b <= d.  log2(a/b) is
+    log2(a) - log2(b), or log1p((a - b)/b) / ln 2 from the exact numerator where
+    that difference is below 1 in size; a == b gives exactly 0.0.  Running error
+    analysis (Higham, ch. 3), u = eps/2, quotients correctly rounded, log1p and
+    log2 within 1 ulp: a log1p term is within 7.5u relative (the condition number
+    is at most 1.45 there); log2 of an integer is within 2u log2(a) + 2.5u, so any
+    other term is within (2 log2(ab) + 8)u <= (4 bits(d) + 4)eps.  With fsum's u,
+    (4 bits(d) + 5) eps sum|term| bounds the error, plus bits(d) subnormals a
+    term for a weight, quotient or product below the normal range.
+    """
+    ln2, log1p, log2 = math.log(2), math.log1p, math.log2
+    terms = [m / d * (log1p((a - b) / b) / ln2 if -1.0 < (t := log2(a) - log2(b)) < 1.0 else t)
+             for m, a, b in triples]
+    bits = d.bit_length()
+    bound = (4 * bits + 5) * math.ulp(1.0) * sum(map(abs, terms)) + len(terms) * bits * math.ulp(0.0)
+    return math.fsum(terms), bound
+
+
 def combinatorial_volumes(
     space: GenericSpace | ExactDistribution, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> VolumeReport:
     """Compute V_info = prod(N_i^N_i) and V_uinfo = D^D for a generic space.
 
     The exact big-integer values (and their exact ratio) are produced when
-    the dimension does not exceed `exact_limit`; log-domain values are
-    computed unconditionally as sum(N_i * log2 N_i) and D * log2 D.
+    the dimension does not exceed `exact_limit`.  The log-domain values
+    sum(N_i * log2 N_i) and D * log2 D are computed unconditionally, and are
+    inf once they pass the float range.  `log2_ratio` is D * H, with H the
+    Shannon entropy from the kernel: formed exactly and rounded once, it is
+    finite whenever D * H is and inf otherwise.
     """
     d = space.dimension
-    log2_v_info = sum(c * math.log2(c) for c in space.counts)
-    log2_v_uinfo = d * math.log2(d)
+    num, den = shannon_entropy(space, 2).as_integer_ratio()
+    log2_ratio = log2_v_info = log2_v_uinfo = math.inf
+    # A value past the float range stays inf; once D*H is, so are both log volumes.
+    with suppress(OverflowError):
+        log2_ratio = d * num / den
+        log2_v_info = sum(c * math.log2(c) for c in space.counts)
+        log2_v_uinfo = d * math.log2(d)
     exact = d <= exact_limit
     if exact:
         v_info = math.prod(c**c for c in space.counts)
@@ -109,38 +146,31 @@ def combinatorial_volumes(
         log2_v_info=log2_v_info,
         log2_v_uinfo=log2_v_uinfo,
         ratio=ratio,
-        log2_ratio=log2_v_uinfo - log2_v_info,
+        log2_ratio=log2_ratio,
         exact_computed=exact,
     )
 
 
-def _shannon_bits(dimension: int, counts: Iterable[int]) -> float:
-    """sum((c/D) * (log2 D - log2 c)), in bits, over the non-zero counts.
-
-    The terms are >= 0 and the sum starts from the integer 0, so a certain
-    distribution gives +0.0, never -0.0.
-    """
-    log2_d = math.log2(dimension)
-    return sum((c / dimension) * (log2_d - math.log2(c)) for c in counts if c)
-
-
-def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
-    """-sum(p_i log_b p_i), each term evaluated from the exact count c_i / D."""
+def shannon_entropy(dist: ExactDistribution | GenericSpace, base: int = 2) -> float:
+    """-sum(p_i log_b p_i), the kernel over (c_i, D, c_i); a distribution keeps it in bits."""
     _check_base(base)
-    return _shannon_bits(dist.dimension, dist.counts) / math.log2(base)
+    bits = getattr(dist, "_bits", None)
+    if bits is None:
+        bits = _log_ratio(dist.dimension, [(c, dist.dimension, c) for c in dist.counts])[0]
+        if isinstance(dist, ExactDistribution):
+            dist._bits = bits
+    return bits / math.log2(base)
 
 
 def shannon_via_ratio(space: GenericSpace | ExactDistribution, base: int = 2) -> float:
-    """Entropy as (1/D) * log_b of the volume ratio, in the log domain.
+    """Entropy as (1/D) * log_b of the volume ratio V_uinfo / V_info.
 
-    Equals (D log_b D - sum(N_i log_b N_i)) / D.  The tests hold it within
-    1e-9 of :func:`shannon_entropy` of the collapsed distribution for
-    D <= 512; near-certain inputs with a large D lose digits to
-    cancellation (ROADMAP item 1).
+    (1/D) * log2(D^D / prod(N_i^N_i)) = sum((N_i/D) * log2(D/N_i)), which is
+    the kernel's sum over (N_i, D, N_i): the same float as
+    :func:`shannon_entropy` of the same space, within the kernel's bound at
+    every D.
     """
-    _check_base(base)
-    bits = combinatorial_volumes(space, exact_limit=0).log2_ratio
-    return bits / (space.dimension * math.log2(base))
+    return shannon_entropy(space, base)
 
 
 def effective_dimension(dist: ExactDistribution) -> float:
@@ -164,10 +194,17 @@ def _check_order(order: float, family: str) -> None:
 
 
 def renyi_entropy(dist: ExactDistribution, order: float, base: int = 2) -> float:
-    """(1 - r)^-1 * log_b(sum p_i^r) for finite r > 0, r != 1."""
+    """(1 - r)^-1 * log_b(sum p_i^r) for finite r > 0, r != 1.
+
+    log2(sum p_i^r) is r * log2(c_max/D) + log2(sum (c_i/c_max)^r): the inner
+    sum is at least 1, so a large order does not underflow it to 0.
+    """
     _check_base(base)
     _check_order(order, "Renyi")
-    return math.log2(_power_sum(dist, order)) / ((1.0 - order) * math.log2(base))
+    top = max(dist.counts)
+    log2_sum = order * math.log2(top / dist.dimension) + math.log2(
+        sum((c / top) ** order for c in dist.counts))
+    return log2_sum / ((1.0 - order) * math.log2(base))
 
 
 def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
@@ -218,7 +255,7 @@ def entropy_suite(
     `tsallis_order=1` the natural-log Shannon entropy.
     """
     _check_base(base)
-    bits = _shannon_bits(dist.dimension, dist.counts)
+    bits = shannon_entropy(dist, 2)
     shannon = bits / math.log2(base)
     renyi = None
     if renyi_order is not None:

@@ -22,7 +22,7 @@ from .distribution import (
     collapse,
     tensor_product,
 )
-from .entropy import _check_base, _shannon_bits, shannon_entropy
+from .entropy import _check_base, _log_ratio, shannon_entropy
 
 __all__ = [
     "JointDistribution",
@@ -112,35 +112,23 @@ def marginals(joint: JointDistribution) -> tuple[ExactDistribution, ExactDistrib
 
 
 def joint_entropy(joint: JointDistribution, base: int = 2) -> float:
-    """H(X, Y) over the cells, with zero cells contributing zero."""
+    """H(X, Y): the entropy kernel over the non-zero cells m, as the triples (m, D, m)."""
     _check_base(base)
-    bits = _shannon_bits(joint.dimension, (c for row in joint.counts for c in row))
+    d = joint.dimension
+    bits = _log_ratio(d, [(m, d, m) for row in joint.counts for m in row if m])[0]
     return bits / math.log2(base)
 
 
 def _information(joint: JointDistribution) -> tuple[float, float, list[int], list[int]]:
     """I(X; Y) in bits, a bound on its rounding error, and the row and column sums.
 
-    The math.fsum over the non-zero cells m (row sum r, column sum c) of
-    (m/D) * log2(a/b), a = m*D and b = r*c: log1p((a - b) / b) / ln 2 when
-    b/2 < a < 2b, else k + log2(a / (b * 2**k)), k the bit length difference
-    and |log2(a/b)| >= 1.  Independence (a == b) gives exactly 0.0; the
-    transpose has the same terms and sum.  With log1p and log2 within 1 ulp a
-    term is within 3.8 eps relative and fsum adds 0.5 eps of sum|term|, so
-    8 eps * sum|term| bounds the error, plus bit_length(D) subnormals per term
-    for a weight m/D below the normal range (off by half a subnormal, times
-    |log2(a/b)| < bit_length(D)).
+    The entropy kernel over the non-zero cells m (row sum r, column sum c) as
+    (m, m*D, r*c): independence gives exactly 0.0, the transpose the same sum.
     """
     d, counts = joint.dimension, joint.counts
     rows, cols = list(map(sum, counts)), list(map(sum, zip(*counts)))
-    ln2, log1p, log2 = math.log(2), math.log1p, math.log2
-    terms = [m / d * (log1p((a - b) / b) / ln2 if b >> 1 < a < b << 1
-                      else (k := a.bit_length() - b.bit_length())
-                      + log2(a / (b << k) if k >= 0 else (a << -k) / b))
-             for r, row in zip(rows, counts) for c, m in zip(cols, row) if m
-             for a, b in ((m * d, r * c),)]
-    bound = 8 * math.ulp(1.0) * sum(map(abs, terms)) + len(terms) * d.bit_length() * math.ulp(0.0)
-    return math.fsum(terms), bound, rows, cols
+    triples = [(m, m * d, r * c) for r, row in zip(rows, counts) for c, m in zip(cols, row) if m]
+    return (*_log_ratio(d, triples), rows, cols)
 
 
 def mutual_information(joint: JointDistribution, base: int = 2) -> float:

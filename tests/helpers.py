@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
+from hypothesis import target
 
 from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution, PrefixCode
 from genspace.born import COMPLETENESS_TOL, EIGENVALUE_FLOOR, SYMMETRY_TOL
@@ -36,6 +37,24 @@ def random_generic_space(rng, max_dimension=512, max_parts=6):
     d = int(rng.integers(2, max_dimension + 1))
     parts = int(rng.integers(1, min(max_parts, d) + 1))
     return GenericSpace(d, tuple(random_composition(rng, d, parts)))
+
+
+def random_wide_space(rng, max_bits=4096, max_parts=6):
+    """A generic space with D up to 2**max_bits: a third near-certain, the rest random.
+
+    A near-certain space puts 1-10 units on every part but the last.
+    """
+    bits = int(rng.integers(1, max_bits + 1))
+    parts = int(rng.integers(1, max_parts + 1))
+    if rng.random() < 1 / 3:
+        small = [int(x) for x in rng.integers(1, 11, size=parts - 1)]
+        d = sum(small) + 1 + int.from_bytes(rng.bytes(bits // 8 + 1), "little") % 2**bits
+        return GenericSpace(d, (*small, d - sum(small)))
+    d = max(parts, int.from_bytes(rng.bytes(bits // 8 + 1), "little") % 2**bits)
+    cuts = sorted({1 + int.from_bytes(rng.bytes(bits // 8 + 1), "little") % (d - 1)
+                   for _ in range(parts - 1)}) if d > 1 else []
+    edges = [0, *cuts, d]
+    return GenericSpace(d, tuple(b - a for a, b in zip(edges, edges[1:])))
 
 
 def random_dyadic_space(rng, max_log2=12, max_parts=64):
@@ -617,29 +636,85 @@ def decimal_projection_entropy(dimension, counts, base=2):
         return float(nats / dec(base).ln())
 
 
-def decimal_mutual_information(dimension, counts):
-    """I(X; Y) in bits of an integer joint over `dimension`, as a 60-digit Decimal.
+def decimal_log_ratio(dimension, triples):
+    """sum((m/D) * log2(a/b)) over integer triples, as a 60-digit Decimal.
 
-    Each term is (m/D) * ln(m*D / (r*c)) / ln 2, from the exact integers; with
-    x = m*D / (r*c) - 1 and |x| < 1e-15 the logarithm is the series of
+    With x = a/b - 1 and |x| < 1e-15 the logarithm is the series of
     ln(1 + x), so its error stays near 1e-45 relative however close to 1 the
     ratio is.
     """
     dec = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        rows, cols = [sum(row) for row in counts], [sum(col) for col in zip(*counts)]
         total = dec(0)
-        for r, row in zip(rows, counts):
-            for c, m in zip(cols, row):
-                if m:
-                    x = dec(m * dimension - r * c) / dec(r * c)
-                    if abs(x) < dec("1e-15"):
-                        ln = x - x**2 / 2 + x**3 / 3 - x**4 / 4
-                    else:
-                        ln = (dec(m * dimension) / dec(r * c)).ln()
-                    total += dec(m) / dec(dimension) * ln
+        for m, a, b in triples:
+            x = dec(a - b) / dec(b)
+            if abs(x) < dec("1e-15"):
+                ln = x - x**2 / 2 + x**3 / 3 - x**4 / 4
+            else:
+                ln = (dec(a) / dec(b)).ln()
+            total += dec(m) / dec(dimension) * ln
         return total / dec(2).ln()
+
+
+def within_bound(value, reference, bound, label):
+    """|value - reference| <= bound, in exact decimals; hypothesis maximises the ratio."""
+    err = abs(decimal.Decimal(value) - reference)
+    target(float(err / decimal.Decimal(bound)) if bound else float(err > 0), label=f"{label} error/bound")
+    return err <= decimal.Decimal(bound)
+
+
+def decimal_shannon_entropy(dimension, counts):
+    """H in bits of the space (D, counts), zero counts skipped, as a 60-digit Decimal."""
+    return decimal_log_ratio(dimension, [(c, dimension, c) for c in counts if c])
+
+
+def decimal_mutual_information(dimension, counts):
+    """I(X; Y) in bits of an integer joint over `dimension`, as a 60-digit Decimal.
+
+    Each term is (m/D) * log2(m*D / (r*c)), from the exact integers.
+    """
+    rows, cols = [sum(row) for row in counts], [sum(col) for col in zip(*counts)]
+    return decimal_log_ratio(dimension, [
+        (m, m * dimension, r * c) for r, row in zip(rows, counts) for c, m in zip(cols, row) if m
+    ])
+
+
+def fraction_renyi_entropy(probs, order):
+    """log2(sum p^r) / (1 - r) from the reduced Fractions, in 60-digit decimal arithmetic."""
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = sum((dec(p.numerator) / dec(p.denominator)) ** dec(order) for p in probs)
+        return float(total.ln() / dec(2).ln() / (1 - dec(order)))
+
+
+@st.composite
+def wide_spaces(draw, max_bits=4096, max_outcomes=8):
+    """A generic space over D up to 2**max_bits: near-certain, near-uniform or random.
+
+    Near-certain spaces put 1-10 units on every outcome but the last;
+    near-uniform ones move up to 1000 units between equal counts.
+    """
+    n = draw(st.integers(1, max_outcomes))
+    top = 2 ** draw(st.integers(1, max_bits))
+    kind = draw(st.sampled_from(["near-certain", "near-uniform", "random"]))
+    if kind == "near-certain":
+        small = [draw(st.integers(1, 10)) for _ in range(n - 1)]
+        dimension = draw(st.integers(sum(small) + 1, max(sum(small) + 1, top)))
+        counts = [*small, dimension - sum(small)]
+    elif kind == "near-uniform":
+        counts = [draw(st.integers(1, max(1, top // n)))] * n
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            moved = min(draw(st.integers(0, 1000)), counts[i] - 1)
+            counts[i] -= moved
+            counts[j] += moved
+        dimension = sum(counts)
+    else:
+        dimension = draw(st.integers(n, max(n, top)))
+        counts = _composition(draw, dimension, n) if n > 1 else [dimension]
+    return GenericSpace(dimension, tuple(counts))
 
 
 @st.composite

@@ -6,7 +6,9 @@ Each test prints one `[criterion N] PASS/FAIL` line (visible with
 
 import contextlib
 import math
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -43,13 +45,16 @@ from genspace import (
     tensor_product,
     tsallis_entropy,
 )
+from genspace.entropy import _log_ratio
 from helpers import (
+    decimal_shannon_entropy,
     gram_schmidt_basis,
     random_distribution,
     random_dyadic_space,
     random_generic_space,
     random_joint,
     random_unit_vector,
+    random_wide_space,
 )
 
 F = Fraction
@@ -105,7 +110,7 @@ def test_criterion_2_dyadic_coding_example():
 
 def test_criterion_3_entropy_identity_on_random_generic_spaces():
     rng = np.random.default_rng(30303)
-    with criterion(3, "volume-ratio entropy identity on 1000 generic spaces", 10.0):
+    with criterion(3, "volume-ratio entropy identity on 1300 generic spaces", 10.0):
         for _ in range(1000):
             space = random_generic_space(rng, max_dimension=512, max_parts=6)
             via_ratio = shannon_via_ratio(space, 2)
@@ -117,6 +122,23 @@ def test_criterion_3_entropy_identity_on_random_generic_spaces():
                 report.ratio.denominator
             )
             assert abs(exact_log2_ratio - report.log2_ratio) <= 1e-9
+        # Past D = 512, up to 2^4096: both routes and log2_ratio / D within the
+        # entropy kernel's bound of a decimal oracle, near-certain spaces included.
+        for _ in range(300):
+            space = random_wide_space(rng, max_bits=4096, max_parts=6)
+            d = space.dimension
+            reference = decimal_shannon_entropy(d, space.counts)
+            _, bound = _log_ratio(d, [(c, d, c) for c in space.counts])
+            via_ratio = shannon_via_ratio(space, 2)
+            direct = shannon_entropy(collapse(d, space.counts), 2)
+            log2_ratio = combinatorial_volumes(space, exact_limit=0).log2_ratio
+            values = [Decimal(via_ratio), Decimal(direct)]
+            if math.isinf(log2_ratio):  # only where D * H is past the float range
+                assert d * reference > Decimal(sys.float_info.max)
+            else:
+                values.append(Decimal(log2_ratio) / d)
+            for value in values:
+                assert abs(value - reference) <= Decimal(bound)
 
 
 def test_criterion_4_dyadic_coding_optimality():

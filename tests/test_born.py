@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,16 @@ class TestJspsVector:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="squared norm"):
             JspsVector([0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "components", [np.array([0.6 + 0.1j, 0.8]), [0.6 + 0j, 0.8], np.array([1.0], complex)]
+    )
+    def test_complex_rejected(self, components):
+        # Casting to float would drop the imaginary parts with only a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="state vector is complex"):
+                JspsVector(components)
 
     def test_sign_freedom_allowed(self):
         psi = JspsVector([-math.sqrt(0.5), math.sqrt(0.5)])

@@ -184,22 +184,63 @@ class TestAnalyze:
         assert main(["analyze", str(coin_dist), "--json"]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
 
-    def test_overflow_exits_2_without_traceback(self, tmp_path):
-        # The log-domain volumes convert D itself to float, which overflows
-        # above 2^1024.
+    def test_past_the_float_range_exits_0_with_a_finite_log2_ratio(self, tmp_path):
+        # D itself is past the float range; the log volumes are inf, but
+        # log2_ratio = D * H is not.
         d = 2**1100 + 1
         path = tmp_path / "huge.dist"
         path.write_text(f"3/{d} {d - 3}/{d}\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "genspace.cli", "analyze", str(path)],
+            [sys.executable, "-m", "genspace.cli", "analyze", str(path), "--json"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
             timeout=60,
         )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["D"] == d
+        assert math.isfinite(report["log2_ratio"]) and report["log2_ratio"] >= 0.0
+        assert report["H_shannon"] == report["H_shannon_via_ratio"]
+
+    def test_log2_ratio_past_the_float_range_is_inf(self, tmp_path, capsys):
+        # H is about 0.918 bits, so D * H is about 2^1100: inf in the text
+        # report, and refused by --json, which allows no infinity.
+        d = 2**1100 + 1
+        path = tmp_path / "wide.dist"
+        path.write_text(f"{d // 3}/{d} {d - d // 3}/{d}\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "log2_ratio:          inf\n" in out
+        assert "H_shannon:           0.918295834054\n" in out
+        assert main(["analyze", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Out of range float values are not JSON compliant: inf\n"
+        )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_dimension_past_the_digit_limit_prints_nothing(
+        self, tmp_path, capsys, digit_limit, json_flag
+    ):
+        # Each token is under the limit, but D = 2ab has 6001 digits.
+        a, b = 10**3000 + 1, 10**3000 + 3
+        path = tmp_path / "long.dist"
+        path.write_text(f"1/{a} {a - 2}/{2 * a} 1/{b} {b - 2}/{2 * b}\n")
+        assert main(["analyze", str(path), *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: generic dimension D has 6001 digits, more than the 4300 that Python prints\n"
+        )
+
+    def test_large_renyi_order(self, tmp_path, capsys):
+        path = tmp_path / "fair.dist"
+        path.write_text("1/2 1/2\n")
+        assert main(["analyze", str(path), "--json", "--renyi", "2000"]) == 0
+        assert json.loads(capsys.readouterr().out)["H_renyi"] == 1.0
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_exact_volume_past_the_digit_limit_prints_nothing(

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from genspace import (
     ExactDistribution,
     GenericSpace,
+    average_length,
+    build_generic_code,
     combinatorial_volumes,
     effective_dimension,
     entropy_suite,
@@ -21,17 +25,21 @@ from genspace import (
     tensor_product,
     tsallis_entropy,
 )
-from genspace.distribution import parse_distribution
-from genspace.entropy import DEFAULT_EXACT_LIMIT
+from genspace.distribution import collapse, parse_distribution
+from genspace.entropy import DEFAULT_EXACT_LIMIT, _log_ratio
 from helpers import (
     _composition,
     decimal_projection_entropy,
+    decimal_shannon_entropy,
     distribution_texts,
     fraction_parse,
     fraction_projection_entropy,
     fraction_projection_ratio,
+    fraction_renyi_entropy,
     fraction_shannon_entropy,
     random_distribution,
+    wide_spaces,
+    within_bound,
 )
 
 F = Fraction
@@ -248,6 +256,21 @@ class TestRenyiEntropy:
         for order in (1.0, 0.0, -2.0):
             with pytest.raises(ValueError):
                 renyi_entropy(DYADIC, order, 2)
+
+    def test_large_order_does_not_underflow(self):
+        # sum p^2000 = 2^-1999 is below the float range; the true value is 1 bit.
+        fair = ExactDistribution([F(1, 2), F(1, 2)])
+        assert renyi_entropy(fair, 2000.0, 2) == 1.0
+        assert entropy_suite(fair, renyi_order=2000).renyi == (2000, 1.0)
+
+    @pytest.mark.parametrize("order", [2.0, 0.5])
+    def test_matches_fraction_oracle(self, order):
+        rng = np.random.default_rng(909)
+        dists = [random_distribution(rng) for _ in range(50)]
+        dists.append(ExactDistribution([F(3, 2**64 + 1), F(2**64 - 2, 2**64 + 1)]))
+        for dist in dists:
+            expected = fraction_renyi_entropy(dist.probs, order)
+            assert renyi_entropy(dist, order, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_nonincreasing_in_order(self):
         rng = np.random.default_rng(808)
@@ -466,3 +489,49 @@ def test_projection_entropy_matches_decimal_oracle(text):
     expected = decimal_projection_entropy(dist.dimension, dist.counts)
     fraction_route = fraction_projection_entropy(fraction_parse(text))
     assert abs(fraction_route - expected) <= _projection_bound(dist, expected)
+
+
+@given(wide_spaces())
+# The inputs of the benchmark probes cancellation_k60 and overflow_2e1024.
+@example(GenericSpace(2**60 + 1, (3, 2**60 - 2)))
+@example(GenericSpace(2**1100 + 1, (3, 2**1100 - 2)))
+# D * log2(D) and sum(c * log2(c)) are both inf here, and their difference was nan.
+@example(GenericSpace(2**1020 + 1, (3, 2**1020 - 2)))
+@example(GenericSpace(2**4096, (2**4095,) * 2))
+def test_shannon_entropy_is_within_the_kernel_bound_of_a_decimal_oracle(space):
+    d, counts = space.dimension, space.counts
+    reference = decimal_shannon_entropy(d, counts)
+    h, bound = _log_ratio(d, [(c, d, c) for c in counts])
+    assert within_bound(h, reference, bound, "H")
+    assert shannon_via_ratio(space, 2) == h
+    dist = collapse(d, counts)
+    h_dist, bound_dist = _log_ratio(dist.dimension, [(c, dist.dimension, c) for c in dist.counts])
+    assert shannon_entropy(dist, 2) == shannon_via_ratio(dist, 2) == h_dist
+    assert within_bound(h_dist, reference, bound_dist, "H reduced")
+    # log2_ratio is D * H rounded once; inf only where D * H is past the float range.
+    report = combinatorial_volumes(space, exact_limit=0)
+    if math.isinf(report.log2_ratio):
+        assert d * reference > Decimal(sys.float_info.max)
+    else:
+        assert within_bound(Decimal(report.log2_ratio) / d, reference, bound, "log2_ratio / D")
+    assert not any(map(math.isnan, (report.log2_v_info, report.log2_v_uinfo, report.log2_ratio)))
+
+
+@given(st.one_of(any_distribution, wide_spaces().map(
+    lambda space: " ".join(f"{c}/{space.dimension}" for c in space.counts))))
+@example(f"3/{2**1100 + 1} {2**1100 - 2}/{2**1100 + 1}")
+@example(f"{(2**1100 + 1) // 3}/{2**1100 + 1} {2**1100 + 1 - (2**1100 + 1) // 3}/{2**1100 + 1}")
+def test_no_entropy_raises_or_returns_nan(text):
+    dist = parse_distribution(text)
+    gap = average_length(build_generic_code(dist), dist).entropy_gap
+    values = [effective_dimension(dist), projection_entropy(dist), gap]
+    for limit in (0, DEFAULT_EXACT_LIMIT):
+        report = combinatorial_volumes(dist, limit)
+        values += [report.log2_v_info, report.log2_v_uinfo, report.log2_ratio]
+    for order in (0.5, 2.0):
+        suite = entropy_suite(dist, 10, renyi_order=order, tsallis_order=order)
+        values += [suite.shannon, suite.shannon_via_ratio, suite.effective_dimension,
+                   suite.projection, suite.renyi[1], suite.tsallis[1]]
+    assert not any(map(math.isnan, values))
+    # Only a log volume or D * H may pass the float range.
+    assert all(map(math.isfinite, values[:3] + values[-12:]))

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +19,11 @@ from genspace import (
     tensor_product,
 )
 from genspace.distribution import parse_distribution
+from genspace.entropy import _log_ratio
 from genspace.joint import _information, format_joint, parse_joint
 from helpers import (
     decimal_mutual_information,
+    decimal_shannon_entropy,
     distribution_texts,
     far_below_product_counts,
     fraction_independent,
@@ -35,6 +36,7 @@ from helpers import (
     near_independent_counts,
     random_distribution,
     random_joint,
+    within_bound,
 )
 
 F = Fraction
@@ -197,12 +199,18 @@ def _joint(counts):
 # [[1 - 3e, e], [e, e]], e = 2^-1500: a float ratio m*D / (r*c) overflows here.
 @example([[2**1500 - 3, 1], [1, 1]])
 @example([[2**64 - 3, 1], [1, 1]])
+@example([[2**4096 - 3, 1], [1, 1]])
 def test_information_is_within_its_bound_of_a_decimal_oracle(counts):
     joint = _joint(counts)
     mi, bound, _, _ = _information(joint)
     assert mutual_information(joint, 2) == mi == mutual_information(joint.transpose(), 2)
     reference = decimal_mutual_information(joint.dimension, joint.counts)
-    assert abs(Decimal(mi) - reference) <= Decimal(bound)
+    assert within_bound(mi, reference, bound, "I(X;Y)")
+    # The joint entropy reads the same kernel over the cells.
+    d, cells = joint.dimension, [m for row in joint.counts for m in row]
+    h, h_bound = _log_ratio(d, [(m, d, m) for m in cells if m])
+    assert joint_entropy(joint, 2) == h
+    assert within_bound(h, decimal_shannon_entropy(d, cells), h_bound, "H(X,Y)")
     report = check_inequalities(joint)
     assert report.all_pass and report.mi_xy == report.mi_yx == mi
 
