@@ -25,22 +25,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _BORN_NAMES
 from .distribution import ExactDistribution, _int_tokens, collapse
 
-__all__ = [
-    "JspsVector",
-    "DensityMatrix",
-    "DensityValidation",
-    "MeasurementSet",
-    "jsps_from_distribution",
-    "collapse_jsps",
-    "born_probability",
-    "measure",
-    "validate_density",
-    "sample",
-    "parse_matrix",
-    "format_matrix",
-]
+__all__ = list(_BORN_NAMES)
 
 UNIT_NORM_TOL = 1e-9
 SYMMETRY_TOL = 1e-12

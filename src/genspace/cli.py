@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from ._decoder import decode_hex
 from .coding import (
@@ -124,11 +125,35 @@ def _decimal(value: int, what: str, hint: str = "") -> str:
     raise ValueError(f"{what} has {digits} digits, more than the {limit} that Python prints{hint}")
 
 
-def _refuse_overwrite(out: Path, label: str, inputs: dict[str, Path]) -> None:
-    """Raise ValueError (exit 2) when the existing file `out` is one of the named inputs."""
+def _output(out: Path, label: str, inputs: dict[str, Path]) -> Callable[[bytes], None]:
+    """Refuse (ValueError, exit 2) an existing `out` that is a named input; else its writer.
+
+    The writer fills a temporary file next to a new or regular `out` and renames
+    it over `out`, so a failure leaves no partial file; a FIFO or /dev/stdout is
+    written in place.
+    """
     for name, path in inputs.items():
         if out.exists() and path.exists() and out.samefile(path):
             raise ValueError(f"{label} {out} would overwrite the {name}")
+
+    def write(data: bytes) -> None:
+        if out.exists() and not out.is_file():
+            out.write_bytes(data)
+            return
+        target = Path(os.path.realpath(out))
+        tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+        try:
+            tmp.write_bytes(data)
+            if target.exists():
+                tmp.chmod(target.stat().st_mode & 0o7777)
+            tmp.replace(target)
+        except BaseException as exc:
+            tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError):  # name the output, not the temporary file
+                raise OSError(exc.errno, exc.strerror, str(out)) from None
+            raise
+
+    return write
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -189,7 +214,7 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 def run_code_build(args: argparse.Namespace) -> int:
     out = args.output or args.dist_file.with_suffix(".code")
-    _refuse_overwrite(out, "code table", {"distribution file": args.dist_file})
+    write = _output(out, "code table", {"distribution file": args.dist_file})
     dist = parse_distribution(args.dist_file.read_text())
     code = build_generic_code(dist)
     stats = average_length(code, dist)
@@ -207,14 +232,14 @@ def run_code_build(args: argparse.Namespace) -> int:
         })
     else:
         report = f"wrote code table to {out}\navg = {avg_text} ({code.mode} mode)"
-    out.write_text(format_code_table(code))
+    write(format_code_table(code).encode())
     print(report)
     return 0
 
 
 def run_code_encode(args: argparse.Namespace) -> int:
-    _refuse_overwrite(args.output_file, "output",
-                      {"code table": args.table_file, "symbols file": args.symbols_file})
+    write = _output(args.output_file, "output",
+                    {"code table": args.table_file, "symbols file": args.symbols_file})
     code = parse_code_table(args.table_file.read_text())
     tokens = args.symbols_file.read_text().split()
     try:
@@ -222,21 +247,20 @@ def run_code_encode(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError("symbols file must hold whitespace-separated integers") from None
     bits = encode(code, symbols)
-    args.output_file.write_bytes(frame_bits(bits))
+    write(frame_bits(bits))
     print(f"encoded {len(symbols)} symbols into {len(bits)} bits")
     return 0
 
 
 def run_code_decode(args: argparse.Namespace) -> int:
-    if args.output_file is not None:
-        _refuse_overwrite(args.output_file, "output",
-                          {"code table": args.table_file, "stream file": args.stream_file})
+    inputs = {"code table": args.table_file, "stream file": args.stream_file}
+    write = args.output_file and _output(args.output_file, "output", inputs)
     code = parse_code_table(args.table_file.read_text())
     symbols = decode_hex(code.codewords, *_unframe(args.stream_file.read_bytes()))
     names = [str(i) for i in range(code.size)]
     text = " ".join([names[s] for s in symbols]) + "\n"
-    if args.output_file is not None:
-        args.output_file.write_text(text)
+    if write:
+        write(text.encode())
         print(f"decoded {len(symbols)} symbols to {args.output_file}")
     else:
         sys.stdout.write(text)

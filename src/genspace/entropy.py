@@ -48,9 +48,11 @@ __all__ = [
 DEFAULT_EXACT_LIMIT = 512
 
 
-def _check_base(base: int) -> None:
+def _in_base(bits: float, base: int) -> float:
+    """An entropy in bits converted to logarithm base `base`, an integer >= 2."""
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"logarithm base must be an integer >= 2, got {base!r}")
+    return bits / math.log2(base)
 
 
 class VolumeReport(NamedTuple):
@@ -153,13 +155,12 @@ def combinatorial_volumes(
 
 def shannon_entropy(dist: ExactDistribution | GenericSpace, base: int = 2) -> float:
     """-sum(p_i log_b p_i), the kernel over (c_i, D, c_i); a distribution keeps it in bits."""
-    _check_base(base)
     bits = getattr(dist, "_bits", None)
     if bits is None:
         bits = _log_ratio(dist.dimension, [(c, dist.dimension, c) for c in dist.counts])[0]
         if isinstance(dist, ExactDistribution):
             dist._bits = bits
-    return bits / math.log2(base)
+    return _in_base(bits, base)
 
 
 def shannon_via_ratio(space: GenericSpace | ExactDistribution, base: int = 2) -> float:
@@ -182,39 +183,51 @@ def effective_dimension(dist: ExactDistribution) -> float:
     return 2.0 ** shannon_entropy(dist, 2)
 
 
-def _power_sum(dist: ExactDistribution, order: float) -> float:
-    """sum(p_i ** order), each p_i the float c_i / D."""
-    d = dist.dimension
-    return sum((c / d) ** order for c in dist.counts)
-
-
 def _check_order(order: float, family: str) -> None:
     if not (math.isfinite(order) and order > 0 and order != 1):
         raise ValueError(f"{family} order must be finite, > 0 and != 1, got {order}")
 
 
-def renyi_entropy(dist: ExactDistribution, order: float, base: int = 2) -> float:
-    """(1 - r)^-1 * log_b(sum p_i^r) for finite r > 0, r != 1.
+def _scaled_power(c: int, top: int, order: float) -> float:
+    """(c/top)^r for 1 <= c <= top and r < 1, to a few ulps, also where c/top underflows.
 
-    log2(sum p_i^r) is r * log2(c_max/D) + log2(sum (c_i/c_max)^r): the inner
-    sum is at least 1, so a large order does not underflow it to 0.
+    c/top is q * 2^-k with q in (1/2, 2), and k*r = n + f/den exactly (r = num/den),
+    so (c/top)^r = q^r * 2^(-f/den) * 2^-n, each factor a float.
     """
-    _check_base(base)
+    k, (num, den) = top.bit_length() - c.bit_length(), order.as_integer_ratio()
+    n, f = divmod(k * num, den)
+    return math.ldexp(((c << k) / top) ** order * 2.0 ** (-f / den), -n)
+
+
+def renyi_entropy(dist: ExactDistribution, order: float, base: int = 2) -> float:
+    """(1 - r)^-1 * log_b(sum p_i^r) for finite r > 0, r != 1: the one power sum.
+
+    With g = ln(D/c_max) and s = ln(1 + sum (c_i/c_max)^r) over the counts
+    less one copy of c_max, ln(sum p^r) = s - r*g, and the entropy is
+    g + (s - g)/(1 - r) nats: two terms of one sign, and no r*g to overflow.
+    g is log1p of the exact D - c_max when D < 2*c_max, so near certainty
+    keeps its relative accuracy; certainty gives 0.0, never -0.0.
+    """
     _check_order(order, "Renyi")
-    top = max(dist.counts)
-    log2_sum = order * math.log2(top / dist.dimension) + math.log2(
-        sum((c / top) ** order for c in dist.counts))
-    return log2_sum / ((1.0 - order) * math.log2(base))
+    d, rest = dist.dimension, list(dist.counts)
+    rest.remove(top := max(rest))
+    g = math.log1p((d - top) / top) if 2 * top > d else math.log(d / top)
+    if order < 1:  # only then can a c/top below the float range matter
+        s = math.log1p(math.fsum([_scaled_power(c, top, order) for c in rest]))
+    else:
+        s = math.log1p(math.fsum([(c / top) ** order for c in rest]))
+    return _in_base((g + (s - g) / (1.0 - order)) / math.log(2), base)
 
 
 def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
     """(q - 1)^-1 * (1 - sum p_i^q) for finite q > 0, q != 1.
 
-    Not of logarithmic form, so there is no base; the q -> 1 limit is the
-    natural-log Shannon entropy.
+    Read off the Renyi entropy, sum p^q = 2^((1-q) H_q), as expm1((1-q) H_q
+    ln 2) / (1-q): accurate near certainty, finite at any order.  No base, as
+    it is not of logarithmic form; the q -> 1 limit is the natural-log Shannon.
     """
     _check_order(order, "Tsallis")
-    return (1.0 - _power_sum(dist, order)) / (order - 1.0)
+    return math.expm1((1.0 - order) * renyi_entropy(dist, order, 2) * math.log(2)) / (1.0 - order)
 
 
 def projection_ratio(dist: ExactDistribution) -> Fraction:
@@ -235,11 +248,9 @@ def projection_entropy(dist: ExactDistribution, base: int = 2) -> float:
     outcome is very unlikely.  Evaluated in the log domain from the counts,
     as 2 log2 N + sum(log2 N_i) / N - log2 D.
     """
-    _check_base(base)
     n = dist.size
     log2_prod = math.fsum(map(math.log2, dist.counts))
-    bits = 2.0 * math.log2(n) + log2_prod / n - math.log2(dist.dimension)
-    return bits / math.log2(base)
+    return _in_base(2.0 * math.log2(n) + log2_prod / n - math.log2(dist.dimension), base)
 
 
 def entropy_suite(
@@ -254,22 +265,19 @@ def entropy_suite(
     functions refuse: `renyi_order=1` gives the Shannon entropy in `base`,
     `tsallis_order=1` the natural-log Shannon entropy.
     """
-    _check_base(base)
-    bits = shannon_entropy(dist, 2)
-    shannon = bits / math.log2(base)
-    renyi = None
+    shannon = shannon_entropy(dist, base)
+    renyi = tsallis = None
     if renyi_order is not None:
         h = shannon if renyi_order == 1 else renyi_entropy(dist, renyi_order, base)
         renyi = (renyi_order, h)
-    tsallis = None
     if tsallis_order is not None:
-        h = bits * math.log(2) if tsallis_order == 1 else tsallis_entropy(dist, tsallis_order)
+        h = (shannon_entropy(dist, 2) * math.log(2) if tsallis_order == 1
+             else tsallis_entropy(dist, tsallis_order))
         tsallis = (tsallis_order, h)
     return EntropySuite(
         shannon=shannon,
         shannon_via_ratio=shannon_via_ratio(dist, base),
-        # 2^H in bits, as effective_dimension computes it.
-        effective_dimension=2.0**bits,
+        effective_dimension=effective_dimension(dist),
         projection=projection_entropy(dist, base),
         base=base,
         renyi=renyi,

@@ -9,7 +9,6 @@ marginals are always valid distributions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,7 +21,7 @@ from .distribution import (
     collapse,
     tensor_product,
 )
-from .entropy import _check_base, _log_ratio, shannon_entropy
+from .entropy import _in_base, _log_ratio, shannon_entropy
 
 __all__ = [
     "JointDistribution",
@@ -113,10 +112,8 @@ def marginals(joint: JointDistribution) -> tuple[ExactDistribution, ExactDistrib
 
 def joint_entropy(joint: JointDistribution, base: int = 2) -> float:
     """H(X, Y): the entropy kernel over the non-zero cells m, as the triples (m, D, m)."""
-    _check_base(base)
     d = joint.dimension
-    bits = _log_ratio(d, [(m, d, m) for row in joint.counts for m in row if m])[0]
-    return bits / math.log2(base)
+    return _in_base(_log_ratio(d, [(m, d, m) for row in joint.counts for m in row if m])[0], base)
 
 
 def _information(joint: JointDistribution) -> tuple[float, float, list[int], list[int]]:
@@ -133,8 +130,7 @@ def _information(joint: JointDistribution) -> tuple[float, float, list[int], lis
 
 def mutual_information(joint: JointDistribution, base: int = 2) -> float:
     """I(X; Y): exactly 0.0 on an independent joint, and the same float as I(Y; X)."""
-    _check_base(base)
-    return _information(joint)[0] / math.log2(base)
+    return _in_base(_information(joint)[0], base)
 
 
 def conditional_entropy(joint: JointDistribution, base: int = 2) -> float:

@@ -689,6 +689,31 @@ def fraction_renyi_entropy(probs, order):
         return float(total.ln() / dec(2).ln() / (1 - dec(order)))
 
 
+def _decimal_log1p(x):
+    """ln(1 + x) of a Decimal, by its series where 1 + x would round x away."""
+    if abs(x) < decimal.Decimal("1e-20"):
+        return x - x**2 / 2 + x**3 / 3 - x**4 / 4
+    return (1 + x).ln()
+
+
+def decimal_renyi_tsallis(dimension, counts, order):
+    """Renyi entropy in bits and Tsallis entropy of (D, counts), as 80-digit Decimals.
+
+    sum p^r - 1 is formed as expm1(r * ln p_max) plus the other terms, each
+    from its series near 0, so near certainty it does not cancel to 0.
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        r, rest = dec(order), list(counts)
+        top = max(rest)
+        rest.remove(top)
+        y = r * _decimal_log1p(dec(top - dimension) / dec(dimension))
+        expm1 = y + y**2 / 2 + y**3 / 6 + y**4 / 24 if abs(y) < dec("1e-20") else y.exp() - 1
+        dev = expm1 + sum((dec(c) / dec(dimension)) ** r for c in rest)
+        return _decimal_log1p(dev) / (1 - r) / dec(2).ln(), dev / (1 - r)
+
+
 @st.composite
 def wide_spaces(draw, max_bits=4096, max_outcomes=8):
     """A generic space over D up to 2**max_bits: near-certain, near-uniform or random.

@@ -83,6 +83,21 @@ class TestJspsVector:
         with pytest.raises(ValueError):
             psi.components[0] = 0.0
 
+    @pytest.mark.parametrize("components", [[], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_empty_or_two_dimensional_rejected(self, components):
+        with pytest.raises(ValueError, match="^state vector must be a non-empty 1-D sequence$"):
+            JspsVector(components)
+
+    @pytest.mark.parametrize("components", [[math.inf, 0.0], [math.nan, 1.0]])
+    def test_non_finite_rejected(self, components):
+        with pytest.raises(ValueError, match="^state vector components must be finite$"):
+            JspsVector(components)
+
+    def test_len_and_repr(self):
+        psi = JspsVector([0.6, -0.8])
+        assert len(psi) == 2
+        assert repr(psi) == "JspsVector([0.6, -0.8])"
+
 
 class TestBornProbability:
     def test_fair_coin_axis(self):
@@ -275,6 +290,16 @@ class TestRefusedInput:
     def test_empty_density(self):
         with pytest.raises(ValueError, match="^density matrix must be at least 1 x 1$"):
             DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("basis", [np.eye(3)[:2], np.eye(2, 3)])
+    def test_incomplete_basis(self, basis):
+        with pytest.raises(ValueError, match="^von Neumann measurement needs a complete basis$"):
+            MeasurementSet.von_neumann(basis)
+
+    def test_basis_not_orthonormal(self):
+        basis = [[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]]
+        with pytest.raises(ValueError, match=r"^basis is not orthonormal \(Gram defect 0.707\)$"):
+            MeasurementSet.von_neumann(basis)
 
     @pytest.mark.parametrize("basis", [[], np.zeros((0, 3))])
     def test_empty_basis(self, basis):
@@ -635,6 +660,10 @@ class TestMatrixText:
         assert parsed == pytest.approx(np.diag([0.5, 0.5]))
 
     def test_errors(self):
+        with pytest.raises(ValueError, match="^empty matrix text$"):
+            parse_matrix(" \n")
+        with pytest.raises(ValueError, match="^matrix size must be >= 1, got 0$"):
+            parse_matrix("0\n")
         with pytest.raises(ValueError, match="size"):
             parse_matrix("x\n1.0\n")
         with pytest.raises(ValueError, match="rows"):

@@ -236,6 +236,29 @@ class TestAnalyze:
             "error: generic dimension D has 6001 digits, more than the 4300 that Python prints\n"
         )
 
+    def test_renyi_order_1e308(self, tmp_path, capsys):
+        # r * log2(1/16) would overflow to -inf, which --json refuses.
+        path = tmp_path / "u16.dist"
+        path.write_text("1/16 " * 16 + "\n")
+        assert main(["analyze", str(path), "--json", "--renyi", "1e308"]) == 0
+        assert json.loads(capsys.readouterr().out)["H_renyi"] == 4.0
+
+    def test_certainty_prints_zero_not_negative_zero(self, tmp_path, capsys):
+        path = tmp_path / "one.dist"
+        path.write_text("1\n")
+        assert main(["analyze", str(path), "--renyi", "2", "--tsallis", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "H_renyi(2):        0\n" in out and "H_tsallis(0.5):      0\n" in out
+        assert main(["analyze", str(path), "--json", "--renyi", "2", "--tsallis", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert '"H_renyi": 0.0,' in out and '"H_tsallis": 0.0,' in out
+
+    def test_exact_limit_below_one_exits_2(self, coin_dist, capsys):
+        assert main(["analyze", str(coin_dist), "--exact-limit", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --exact-limit must be >= 1, got 0\n"
+
     def test_large_renyi_order(self, tmp_path, capsys):
         path = tmp_path / "fair.dist"
         path.write_text("1/2 1/2\n")
@@ -593,6 +616,66 @@ def test_closed_stdout_ends_quietly(command, shannon_dist, tmp_path, capsys):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _stream_files(tmp_path, symbols=20_000):
+    """A 300-symbol code of 9-bit words, and `symbols` symbols under it: (table, text, stream)."""
+    dist, table, text, stream = (tmp_path / n for n in ("u.dist", "u.code", "s.txt", "s.gsc"))
+    dist.write_text("1/300 " * 300 + "\n")
+    text.write_text(" ".join(str(i * 7 % 300) for i in range(symbols)) + "\n")
+    with redirect_stdout(io.StringIO()):
+        assert main(["code", "build", str(dist)]) == 0
+        assert main(["code", "encode", str(table), str(text), str(stream)]) == 0
+    return table, text, stream
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_failed_write_leaves_no_output_file(command, existing, tmp_path):
+    resource = pytest.importorskip("resource")
+    table, text, stream = _stream_files(tmp_path)
+    out = tmp_path / "out"
+    if existing:
+        out.write_text("old\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def limit_file_size():  # 8192 bytes, in the child only; the output needs more
+        resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+    inputs = (text if command == "encode" else stream, out)
+    proc = subprocess.run(
+        [sys.executable, "-m", "genspace.cli", "code", command, str(table), *map(str, inputs)],
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=limit_file_size, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: [Errno 27] File too large: '{out}'\n"
+    # No truncated output and no temporary file; an existing output is left as it was.
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_output_keeps_its_mode_and_symlink(tmp_path, capsys):
+    table, text, stream = _stream_files(tmp_path, symbols=100)
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert main(["code", "decode", str(table), str(stream), str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == text.read_text()
+    assert target.stat().st_mode & 0o777 == 0o640
+    names = ["link.txt", "s.gsc", "s.txt", "target.txt", "u.code", "u.dist"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_a_non_regular_file_is_written_in_place(tmp_path):
+    table, text, stream = _stream_files(tmp_path, symbols=100)
+    proc = subprocess.run(
+        [sys.executable, "-m", "genspace.cli", "code", "decode", str(table), str(stream),
+         "/dev/stdout"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == text.read_text() + "decoded 100 symbols to /dev/stdout\n"
 
 
 def _refuse_constant(name):

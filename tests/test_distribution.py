@@ -108,6 +108,12 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="3/4"):
             ExactDistribution([F(1, 2), F(1, 4)])
 
+    def test_len_iter_and_repr(self):
+        dist = ExactDistribution([F(4, 8), F(1, 4), F(1, 4)])
+        assert len(dist) == 3
+        assert list(dist) == [F(1, 2), F(1, 4), F(1, 4)]
+        assert repr(dist) == "ExactDistribution('1/2 1/4 1/4')"
+
 
 class TestGenericSpaceConstruction:
     def test_dyadic_example(self):
@@ -168,6 +174,8 @@ class TestGenericSpaceConstruction:
             GenericSpace(2, (2, 0))
         with pytest.raises(ValueError, match="dimension"):
             GenericSpace(0, ())
+        with pytest.raises(ValueError, match="^counts must be non-empty$"):
+            GenericSpace(1, ())
 
 
 class TestCollapse:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from genspace import (
@@ -30,6 +30,7 @@ from genspace.entropy import DEFAULT_EXACT_LIMIT, _log_ratio
 from helpers import (
     _composition,
     decimal_projection_entropy,
+    decimal_renyi_tsallis,
     decimal_shannon_entropy,
     distribution_texts,
     fraction_parse,
@@ -37,6 +38,7 @@ from helpers import (
     fraction_projection_ratio,
     fraction_renyi_entropy,
     fraction_shannon_entropy,
+    near_certain_counts,
     random_distribution,
     wide_spaces,
     within_bound,
@@ -535,3 +537,59 @@ def test_no_entropy_raises_or_returns_nan(text):
     assert not any(map(math.isnan, values))
     # Only a log volume or D * H may pass the float range.
     assert all(map(math.isfinite, values[:3] + values[-12:]))
+
+
+# --- Renyi and Tsallis: one power sum ---------------------------------------
+
+NEAR_CERTAIN = GenericSpace(2**60 + 1, (3, 2**60 - 2))  # p = (3/D, 1 - 3/D)
+
+
+def _flat_space(counts):
+    flat = [c for row in counts for c in row]
+    return GenericSpace(sum(flat), tuple(flat))
+
+
+@settings(deadline=None)
+@given(st.one_of(wide_spaces(), near_certain_counts().map(_flat_space)),
+       st.sampled_from([0.5, 2.0, 3.7, 40.0]))
+@example(NEAR_CERTAIN, 2.0)
+@example(GenericSpace(2**1100 + 3, (3, 2**1100)), 0.5)  # 3/2**1100 is below the float range
+@example(GenericSpace(2**2000 + 1, (1, 2**2000)), 0.5)
+def test_renyi_and_tsallis_match_decimal_oracle(space, order):
+    # Within 1e-14 relative, measured against at least the smallest normal float:
+    # a subnormal result has too few bits for a relative error.
+    renyi, tsallis = decimal_renyi_tsallis(space.dimension, space.counts, order)
+    smallest = Decimal(sys.float_info.min)
+    for name, value, reference in (("Renyi", renyi_entropy(space, order), renyi),
+                                   ("Tsallis", tsallis_entropy(space, order), tsallis)):
+        err = abs(Decimal(value) - reference)
+        if reference >= smallest:
+            target(float(err / reference), label=f"{name} relative error")
+        assert err <= Decimal(1e-14) * max(reference, smallest), (name, value, reference)
+
+
+class TestPowerSum:
+    def test_near_certainty_keeps_its_relative_accuracy(self):
+        # sum p^2 = 1 - 6/D + 18/D^2: a plain sum of p^2 rounds it to 1 and reads 0.
+        renyi, tsallis = renyi_entropy(NEAR_CERTAIN, 2.0), tsallis_entropy(NEAR_CERTAIN, 2.0)
+        assert renyi == pytest.approx(7.508030868316214e-18, rel=1e-14, abs=0)
+        assert tsallis == pytest.approx(5.204170427930421e-18, rel=1e-14, abs=0)
+
+    def test_large_order_is_finite(self):
+        # r * log2(c_max/D) = -4e308 would overflow; it is never formed.
+        uniform = ExactDistribution([F(1, 16)] * 16)
+        assert renyi_entropy(uniform, 1e308) == 4.0
+        assert tsallis_entropy(uniform, 1e308) == pytest.approx(1 / 1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [5e-324, 0.5, 2.0, 1e308])
+    def test_certainty_gives_positive_zero(self, order):
+        certain = ExactDistribution([F(1)])
+        for value in (renyi_entropy(certain, order), tsallis_entropy(certain, order)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@given(wide_spaces(), st.floats(min_value=5e-324, max_value=1.7e308).filter(lambda r: r != 1))
+@example(GenericSpace(1, (1,)), 2.0)
+def test_renyi_and_tsallis_are_finite_and_non_negative(space, order):
+    for value in (renyi_entropy(space, order), tsallis_entropy(space, order)):
+        assert math.isfinite(value) and math.copysign(1.0, value) == 1.0, value

@@ -1,5 +1,6 @@
 """The package namespace: lazy Born-rule names and the public export list."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -95,6 +96,18 @@ def test_unknown_attribute_raises():
 
 def test_born_names_are_the_born_export_list():
     assert genspace._BORN_NAMES == tuple(genspace.born.__all__)
+
+
+def test_every_public_born_class_and_function_is_a_born_name():
+    # born.__all__ is read from _BORN_NAMES, so the check above cannot catch a new
+    # public name in genspace.born that was never added to the one list.
+    born = genspace.born
+    defined = {
+        name for name, value in vars(born).items()
+        if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == born.__name__
+    }
+    assert defined == set(genspace._BORN_NAMES)
 
 
 def test_every_layer_name_is_the_package_name():
