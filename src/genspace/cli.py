@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Commands:
-  analyze DIST          generic space, volumes, and the entropy family
+  analyze DIST          D and counts (not reduced fractions), volumes, entropies
   code build DIST       derive a prefix code, write its table
   code encode TABLE SYMBOLS OUT
   code decode TABLE STREAM [OUT]
@@ -38,7 +38,7 @@ from .coding import (
     frame_bits,
     parse_code_table,
 )
-from .distribution import _int_tokens, format_distribution, parse_distribution
+from .distribution import _int_tokens, parse_distribution
 from .entropy import (
     DEFAULT_EXACT_LIMIT,
     combinatorial_volumes,
@@ -192,7 +192,6 @@ def run_analyze(args: argparse.Namespace) -> int:
     # The whole report is built before any of it is printed.
     exact, skipped = volumes.exact_computed, f"(skipped, D > {args.exact_limit})"
     lines = [
-        f"distribution:        {format_distribution(dist)}",
         f"N (outcomes):        {dist.size}",
         f"D (generic dim):     {d_text}",
         f"counts:              {' '.join(str(c) for c in dist.counts)}",

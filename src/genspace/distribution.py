@@ -36,6 +36,8 @@ Space = tuple[int, tuple[int, ...]]  # a generic space (D, counts)
 def _int_tokens(tokens: Sequence[str]) -> list[int]:
     """The values of tokens of ASCII digits [0-9]+, which int() alone does not enforce."""
     # One check over all the tokens at once; int() itself refuses an empty one.
+    # isascii(): int() and str.isdigit() also take other Unicode digits.
+    # encode(): bytes.isdigit() took 7.6 us, str.isdigit() 86 us, on 20 KB of digits (3.11).
     joined = "".join(tokens)
     if joined and not (joined.isascii() and joined.encode().isdigit()):
         raise ValueError("malformed integer token")
@@ -52,13 +54,11 @@ def _rational_tokens(tokens: Sequence[str], kind: str, positive: bool = False) -
     parts = [token.partition("/") for token in tokens]
     nums = [num for num, _, _ in parts]
     dens = [den if slash else "1" for _, slash, den in parts]
-    # str.isdigit(), like \d and int(), would also take other Unicode digits.
-    joined = "".join(nums) + "".join(dens)
-    if (not joined or joined.isascii() and joined.encode().isdigit()) and all(nums) and all(dens):
-        with suppress(ValueError):  # a token past int()'s digit limit
-            ints = list(map(int, nums)), list(map(int, dens))
-            if 0 not in ints[1] and not (positive and 0 in ints[0]):
-                return ints
+    with suppress(ValueError):  # a malformed token, or one past int()'s digit limit
+        values = _int_tokens(nums + dens)
+        ints = values[:len(nums)], values[len(nums):]
+        if 0 not in ints[1] and not (positive and 0 in ints[0]):
+            return ints
     # Python versions without the limit have no such function; 0 means no limit.
     limit = getattr(sys, "get_int_max_str_digits", int)()
     for token, num, den in zip(tokens, nums, dens):
@@ -96,16 +96,16 @@ class _ReducedSpace:
     """A reduced integer space: `dimension` D and the `counts` over it.
 
     The reduced form is unique, so equality and hashing read (D, counts),
-    and only within one subclass.  `_view` caches the `Fraction` view.
+    and only within one subclass.
     """
 
-    __slots__ = ("dimension", "counts", "_view")
+    __slots__ = ("dimension", "counts")
 
     @classmethod
     def _of(cls, dimension: int, counts: tuple):
         """Wrap a valid, reduced space without re-checking it."""
         obj = cls.__new__(cls)
-        obj.dimension, obj.counts, obj._view = dimension, counts, None
+        obj.dimension, obj.counts = dimension, counts
         return obj
 
     def __eq__(self, other: object) -> bool:
@@ -122,9 +122,9 @@ class ExactDistribution(_ReducedSpace):
 
     Stored as its reduced generic space: `dimension` D and integer
     `counts`, with p_i = counts[i] / D.  Input order defines outcome
-    identity; entries are never sorted or deduplicated.  `probs`, the
-    reduced `Fraction` view, is built on first use, and so is `_bits`, the
-    Shannon entropy in bits that the entropy layer keeps.
+    identity; entries are never sorted or deduplicated.  `probs`, the reduced
+    `Fraction` view, is built on each request and not kept (an int index is
+    O(1)); `_bits` is the Shannon entropy in bits that the entropy layer keeps.
     """
 
     __slots__ = ("_bits",)
@@ -136,15 +136,11 @@ class ExactDistribution(_ReducedSpace):
                 raise ValueError(f"probability at index {i} is {p}; all must be > 0")
         nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
         self.dimension, self.counts = _common_space(nums, dens)
-        self._view = entries
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
         """The probabilities as reduced fractions counts[i] / dimension."""
-        if self._view is None:
-            d = self.dimension
-            self._view = tuple(Fraction(c, d) for c in self.counts)
-        return self._view
+        return tuple(Fraction(c, self.dimension) for c in self.counts)
 
     @property
     def size(self) -> int:
@@ -157,8 +153,8 @@ class ExactDistribution(_ReducedSpace):
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.probs)
 
-    def __getitem__(self, index: int) -> Fraction:
-        return self.probs[index]
+    def __getitem__(self, i: int | slice) -> Fraction | tuple[Fraction, ...]:
+        return self.probs[i] if isinstance(i, slice) else Fraction(self.counts[i], self.dimension)
 
     def __repr__(self) -> str:
         return f"ExactDistribution({format_distribution(self)!r})"

@@ -268,12 +268,13 @@ def entropy_suite(
     shannon = shannon_entropy(dist, base)
     renyi = tsallis = None
     if renyi_order is not None:
-        h = shannon if renyi_order == 1 else renyi_entropy(dist, renyi_order, base)
-        renyi = (renyi_order, h)
+        bits = shannon_entropy(dist, 2) if renyi_order == 1 else renyi_entropy(dist, renyi_order, 2)
+        renyi = (renyi_order, _in_base(bits, base))
     if tsallis_order is not None:
-        h = (shannon_entropy(dist, 2) * math.log(2) if tsallis_order == 1
-             else tsallis_entropy(dist, tsallis_order))
-        tsallis = (tsallis_order, h)
+        q, ln2 = tsallis_order, math.log(2)
+        h = (shannon_entropy(dist, 2) * ln2 if q == 1 else tsallis_entropy(dist, q) if q != renyi_order
+             else math.expm1((1.0 - q) * bits * ln2) / (1.0 - q))  # one power sum for equal orders
+        tsallis = (q, h)
     return EntropySuite(
         shannon=shannon,
         shannon_via_ratio=shannon_via_ratio(dist, base),

@@ -2,8 +2,8 @@
 
 A joint is stored as an integer matrix of counts over one common
 denominator D, reduced so that gcd(D, *cells) == 1; the `Fraction` view
-`cells` is built only on request.  Zero cells are allowed (0 log 0 counts
-as 0) as long as every row and column keeps positive mass, so the
+`cells` is built on each request, not kept.  Zero cells are allowed (0 log
+0 counts as 0) as long as every row and column keeps positive mass, so the
 marginals are always valid distributions.
 """
 
@@ -64,7 +64,7 @@ class JointDistribution(_ReducedSpace):
 
     Stored as `dimension` D and the integer matrix `counts`, with cell
     (r, c) equal to counts[r][c] / D; `cells` is the reduced `Fraction`
-    view, built on first use.
+    view, built on each request and not kept.
     """
 
     __slots__ = ()
@@ -77,14 +77,10 @@ class JointDistribution(_ReducedSpace):
         flat = [c for row in rows for c in row]
         nums, dens = [c.numerator for c in flat], [c.denominator for c in flat]
         self.dimension, self.counts = _common_matrix(nums, dens, width)
-        self._view = rows
 
     @property
     def cells(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._view is None:
-            d = self.dimension
-            self._view = tuple(tuple(Fraction(c, d) for c in r) for r in self.counts)
-        return self._view
+        return tuple(tuple(Fraction(c, self.dimension) for c in r) for r in self.counts)
 
     @property
     def rows(self) -> int:

@@ -114,6 +114,17 @@ class TestExactDistribution:
         assert list(dist) == [F(1, 2), F(1, 4), F(1, 4)]
         assert repr(dist) == "ExactDistribution('1/2 1/4 1/4')"
 
+    def test_an_index_reads_the_counts(self, monkeypatch):
+        dist = ExactDistribution([F(1, 2), F(1, 3), F(1, 6)])
+        for i in (0, 2, -1, -3, slice(None), slice(1, None), slice(None, None, -2), slice(5, 9)):
+            assert dist[i] == dist.probs[i]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                dist[i]
+        # An int index builds one Fraction, not the whole view.
+        monkeypatch.setattr(ExactDistribution, "probs", property(lambda self: 1 / 0))
+        assert (dist[0], dist[-1]) == (F(1, 2), F(1, 6))
+
 
 class TestGenericSpaceConstruction:
     def test_dyadic_example(self):
@@ -364,6 +375,19 @@ def joint_token_files(draw):
         n = draw(st.sampled_from([cols, cols, cols + 1, max(cols - 1, 0)]))
         lines.append(" ".join(draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=n, max_size=n))))
     return "\n".join(lines)
+
+
+@pytest.mark.parametrize("bad", ["1_0/3", "+1/2", "-1/2", "\uff11/\uff12", "1/", "/2", "1//2", "long"])
+def test_the_first_bad_token_is_named(bad, digit_limit):
+    # A part one digit past the limit, then a token that is malformed too.
+    bad = "1/" + "9" * (digit_limit + 1) if bad == "long" else bad
+    named = f"'{bad[:20]}...' ({digit_limit + 1} digits; at most {digit_limit})" if len(bad) > 20 else repr(bad)
+    for parse, reference, text, kind in (
+        (parse_distribution, regex_parse_distribution, f"1/4 {bad}\n1/2 x/4", "probability"),
+        (parse_joint, regex_parse_joint, f"2 2\n1/4 {bad}\n1/2 x/4\n", "rational"),
+    ):
+        message = f"malformed {kind} token {named}"
+        assert _outcome(parse, text) == _outcome(reference, text) == (ValueError, message)
 
 
 @settings(deadline=None)

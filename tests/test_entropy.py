@@ -2,6 +2,7 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from genspace import (
     build_generic_code,
     combinatorial_volumes,
     effective_dimension,
+    entropy,
     entropy_suite,
     generic_space,
     projection_entropy,
@@ -404,6 +406,17 @@ def test_entropy_suite_bundles_consistent_values():
     assert suite.tsallis[1] == pytest.approx(tsallis_entropy(DYADIC, 2.0))
     assert 0.0 <= suite.shannon <= math.log2(DYADIC.size)
     assert 1.0 <= suite.effective_dimension <= DYADIC.size
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_entropy_suite_forms_one_power_sum_for_equal_orders(base):
+    near_certain = collapse(2**60 + 1, (3, 2**60 - 2))
+    for dist in (DYADIC, BENT_COIN, ExactDistribution([F(1, 6), F(1, 10), F(11, 15)]), near_certain):
+        with mock.patch.object(entropy, "renyi_entropy", wraps=entropy.renyi_entropy) as renyi:
+            suite = entropy_suite(dist, base, 2.0, 2.0)
+        assert renyi.call_count == 1
+        assert suite.renyi == (2.0, renyi_entropy(dist, 2.0, base))
+        assert suite.tsallis == (2.0, tsallis_entropy(dist, 2.0))
 
 
 @pytest.mark.parametrize("base", [2, 3, 10])

@@ -282,6 +282,14 @@ class TestJointFile:
             parse_joint(f"{header}\n1/2\n1/2\n")
 
 
+def test_cells_are_the_cells_built_from():
+    cells = ((F(2, 4), 0, F(1, 8)), (0, F(1, 4), F(1, 8)))
+    joint = JointDistribution(cells)
+    assert joint.cells == cells == parse_joint(format_joint(joint)).cells
+    assert all(type(c) is Fraction for row in joint.cells for c in row)
+    assert joint.transpose().cells == tuple(zip(*cells))
+
+
 @given(st.one_of(joint_texts(max_bits=6), joint_texts()))
 @example("2 2\n1/2 0\n0/7 2/4\n")
 @example("1 1\n3/3\n")
