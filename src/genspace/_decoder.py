@@ -2,15 +2,15 @@
 
 Table-driven decoding in the style of Choueka, Klein & Perl (SIGIR 1985)
 and Sieminski (IPL 1988), 4 bits at a time.  A state is the pending
-prefix: fewer than max_len bits, with no codeword among its prefixes.  For
-nibble value v, its row holds the symbols the nibble completes at index 2v
-and the next state's row at 2v + 1.  A row is filled from memoised 2-bit
-walks the first time the stream reaches its state, so the table holds only
-the states the stream visits.  There is no set of codeword prefixes: a
-prefix that leads to no codeword dies at max_len bits, as in a bit-by-bit
-decoder.  A pending prefix of _LONG_BITS or more is no state; its codeword
-is looked up on the stream, so a long codeword adds no rows keyed by long
-prefixes.
+prefix: fewer than max_len bits, with no codeword among its prefixes.  Its
+row holds the prefix at index 0 and, for nibble value v, the symbols the
+nibble completes at index 2v + 1 and the next state's row at 2v + 2.  A row
+is filled from memoised 2-bit walks the first time the stream reaches its
+state, so the table holds only the states the stream visits; until then it
+holds only the prefix.  There is no set of codeword prefixes: a prefix that
+leads to no codeword dies at max_len bits, as in a bit-by-bit decoder.  A
+pending prefix of _LONG_BITS or more is no state; its codeword is looked up
+on the stream, so a long codeword adds no rows keyed by long prefixes.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ from typing import Sequence
 
 _LONG_BITS = 32
 
-# bytes.translate table from hex digit h to 2 * int(h, 16), its index in a row.
-_HEX_ENTRIES = bytes.maketrans(b"0123456789abcdef", bytes(range(0, 32, 2)))
-_NIBBLES = [format(c, "04b") for c in range(16)]
+# bytes.translate table from hex digit h to 2 * int(h, 16) + 1, its index in a row.
+_HEX_ENTRIES = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 33, 2)))
 
 
 class DecodeError(ValueError):
     """A bit stream does not decode under the given code or framing."""
 
 
-def decode_hex(words: Sequence[str], digits: str, nbits: int) -> list[int]:
-    """Decode the first `nbits` bits of the hex digits `digits`, most significant first.
+def decode_hex(words: Sequence[str], payload: bytes, nbits: int) -> list[int]:
+    """Decode the first `nbits` bits of the payload bytes, most significant first.
 
     `words` are the codewords of a prefix-free code, indexed by symbol.
     """
@@ -44,13 +43,7 @@ def decode_hex(words: Sequence[str], digits: str, nbits: int) -> list[int]:
     lengths = sorted(set(map(len, words)))
     stream = ""  # the stream as "0"/"1" characters, built only for a long codeword
     rows: dict[str, list] = {}
-    prefix_of: dict[int, str] = {}
     halves: dict[str, tuple] = {}
-
-    def row_of(prefix: str) -> list:
-        if prefix not in rows:
-            prefix_of[id(rows.setdefault(prefix, []))] = prefix
-        return rows[prefix]
 
     def walk(prefix: str, bits: str) -> tuple[tuple[int, ...], str]:
         """Feed `bits` to `prefix` one at a time: (symbols, new prefix); stop at max_len bits."""
@@ -70,10 +63,11 @@ def decode_hex(words: Sequence[str], digits: str, nbits: int) -> list[int]:
         return halves[prefix]
 
     full, rest = divmod(nbits, 4)
+    digits = payload.hex()
     nibbles = iter(digits[:full].encode().translate(_HEX_ENTRIES))
-    tail = _NIBBLES[int(digits[full], 16)][:rest] if rest else ""
+    tail = format(int(digits[full], 16), "04b")[:rest] if rest else ""
     out: list[int] = []
-    row = row_of("")
+    row = rows.setdefault("", [""])
     while True:  # the for loop is the fast path; a row's first visit lands below it
         try:
             for c in nibbles:
@@ -81,14 +75,14 @@ def decode_hex(words: Sequence[str], digits: str, nbits: int) -> list[int]:
                 row = row[c + 1]
             break
         except IndexError:
-            prefix = prefix_of[id(row)]
+            prefix = row[0]
         if len(prefix) >= max_len:  # no codeword matches: the walk below raises
             tail = ""
             break
         if len(prefix) < _LONG_BITS:  # fill the row from 2-bit walks, then take nibble c
             for symbols, middle in half(prefix):
                 for more, end in half(middle):
-                    row += (symbols + more, row_of(end))
+                    row += (symbols + more, rows.setdefault(end, [end]))
             out += row[c]
             row = row[c + 1]
             continue
@@ -103,15 +97,16 @@ def decode_hex(words: Sequence[str], digits: str, nbits: int) -> list[int]:
         step = -(-end // 4)  # the first nibble after the codeword
         symbols, prefix = walk("", stream[end : 4 * step])
         out += symbols
-        row = row_of(prefix)
+        row = rows.setdefault(prefix, [prefix])
         if step > full:  # the codeword ran into the last nbits % 4 bits
             tail = ""
             break
         skip = step - full + length_hint(nibbles)
         next(islice(nibbles, skip, skip), None)
+    prefix = row[0]
     for filled in rows.values():  # rows refer to each other: free them without the cyclic GC
         filled.clear()
-    symbols, prefix = walk(prefix_of[id(row)], tail)
+    symbols, prefix = walk(prefix, tail)
     if len(prefix) >= max_len:
         raise DecodeError(f"bits {prefix[:max_len]!r} match no codeword")
     if prefix:

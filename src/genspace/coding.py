@@ -2,10 +2,12 @@
 
 Every generic code takes one path: symbol i, with count N_i of the generic
 dimension D, gets length l_i = ceil(log2(D / N_i)), and the lengths are
-assigned canonically (Schwartz & Kallick, 1964).  Mode "exact" means the
-code is complete (Kraft sum 1), which happens exactly when every D / N_i is
-a power of two; its average length then equals the Shannon entropy.
-"fallback" codes stay prefix-free, within one bit of the entropy.
+assigned canonically (Schwartz & Kallick, 1964).  A code's mode is read off
+its codewords: "exact" when it is complete (Kraft sum 1), which a generic
+code is exactly when every D / N_i is a power of two, and its average length
+then equals the Shannon entropy; else "fallback", prefix-free and, for a
+generic code, within one bit of the entropy.  A Huffman code is complete, so
+it reports "exact".
 
 This is the paper's construction.  For D = 2^L and power-of-two counts,
 write the D generic-space outcomes as L-bit words and give the symbols, by
@@ -23,8 +25,9 @@ any length, through the 4-bit state table of :mod:`genspace._decoder`.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._decoder import DecodeError, decode_hex
 from .distribution import ExactDistribution, GenericSpace, _int_tokens, _make_checked
@@ -47,37 +50,32 @@ __all__ = [
 
 STREAM_MAGIC = b"GSC1"
 
-MODES = ("exact", "fallback", "huffman")
 
-# str.translate table that deletes "0" and "1": whatever is left is not a bit.
-_DELETE_BITS = str.maketrans("", "", "01")
+def _is_bits(text: str) -> bool:
+    """Whether text is all "0" and "1"; isascii() first, as encode() raises on a lone surrogate."""
+    return text.isascii() and not text.encode().translate(None, b"01")
 
 
-_PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple), ("mode", str)])
+_PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple)])
 
 
 class PrefixCode(_PrefixCodeFields):
     """An ordered symbol -> bitstring map, checked prefix-free on construction.
 
-    mode "exact" promises a complete code (Kraft sum exactly 1); "fallback"
-    marks an incomplete generic code or table; "huffman" marks oracle-built
-    codes.  A code table stores no mode, so it reloads as "exact" exactly
-    when it is complete, the rule :func:`build_generic_code` applies too.
+    Its :attr:`mode` is read off the codewords, so a code table, which
+    stores only codewords, reloads as the code it was written from.
     """
 
     __slots__ = ()
     _make = classmethod(_make_checked)  # so `_replace` checks too
 
-    def __init__(self, codewords: tuple[str, ...], mode: str) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown code mode {mode!r}")
+    def __init__(self, codewords: tuple[str, ...]) -> None:
         if not codewords:
             raise ValueError("code needs at least one codeword")
         # One check over all the words; the loop only finds the first bad one.
-        joined = "".join(codewords)
-        if joined.translate(_DELETE_BITS) or len(codewords) > 1 and "" in codewords:
+        if not _is_bits("".join(codewords)) or len(codewords) > 1 and "" in codewords:
             for i, word in enumerate(codewords):
-                if set(word) - {"0", "1"}:
+                if not _is_bits(word):
                     raise ValueError(f"codeword {i} is not a bitstring: {word!r}")
                 if word == "" and len(codewords) > 1:
                     raise ValueError("empty codeword only allowed in a one-symbol code")
@@ -85,10 +83,14 @@ class PrefixCode(_PrefixCodeFields):
         if any(map(str.startswith, ordered[1:], ordered)):
             short, long = next(p for p in zip(ordered, ordered[1:]) if p[1].startswith(p[0]))
             raise ValueError(f"not prefix-free: {short!r} is a prefix of {long!r}")
-        # Prefix-freeness already forces the Kraft sum <= 1; exact mode
-        # additionally promises completeness.
-        if mode == "exact" and (kraft := _kraft_sum(codewords)) != 1:
-            raise ValueError(f"exact code must have Kraft sum 1, got {kraft}")
+
+    @property
+    def mode(self) -> str:
+        """Completeness, read off the codewords: "exact" when the Kraft sum is 1, else "fallback".
+
+        A Huffman code is complete, so it reports "exact".
+        """
+        return "exact" if _kraft_sum(self.codewords) == 1 else "fallback"
 
     @property
     def size(self) -> int:
@@ -103,8 +105,8 @@ class PrefixCode(_PrefixCodeFields):
 
 def _kraft_sum(words: Sequence[str]) -> Fraction:
     """Sum of 2^-len(w), added in integers over 2^(longest length)."""
-    top = max(len(w) for w in words)
-    return Fraction(sum(1 << (top - len(w)) for w in words), 1 << top)
+    top = max(map(len, words))
+    return Fraction(sum([1 << (top - len(w)) for w in words]), 1 << top)
 
 
 class CodeStats(NamedTuple):
@@ -148,28 +150,30 @@ def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
     """Derive a prefix code from a generic space.
 
     Lengths ceil(log2(D / count)), assigned canonically; on a dyadic space
-    these are the block prefixes of the module docstring.  The mode is
-    "exact" when the code is complete, else "fallback".  A distribution is
-    a reduced space, so for it "exact" means that D and every count are
-    powers of two.  Codewords are returned in original symbol order.
+    these are the block prefixes of the module docstring.  The code is
+    complete, mode "exact", exactly when every count << length == D.  A
+    distribution is a reduced space, so for it "exact" means that D and every
+    count are powers of two.  Codewords are returned in original symbol order.
     """
-    d = space.dimension
-    counts = space.counts
-    lengths = _ceil_log2_ratios(d, counts)
-    # 2^-length <= count / D, equal exactly when count << length == D, and
-    # the counts sum to D: the Kraft sum is 1 exactly when all are equal.
-    complete = all(c << n == d for c, n in zip(counts, lengths))
-    return PrefixCode(_canonical_codewords(lengths), mode="exact" if complete else "fallback")
+    return PrefixCode(_canonical_codewords(_ceil_log2_ratios(space.dimension, space.counts)))
 
 
 def _require_bits(bits: str, error: type[ValueError]) -> None:
-    if bits.translate(_DELETE_BITS):
+    if not _is_bits(bits):
         raise error("stream contains characters other than 0 and 1")
 
 
-def encode(code: PrefixCode, symbols: Sequence[int]) -> str:
-    """Concatenate the codewords of a symbol-index sequence."""
+def _pack(bits: str, error: type[ValueError]) -> bytes:
+    """A "0"/"1" string packed most-significant-bit-first, the final byte zero-padded."""
+    _require_bits(bits, error)
+    return (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
+
+
+def encode(code: PrefixCode, symbols: Iterable[int]) -> str:
+    """Concatenate the codewords of a sequence of symbol indices, read once."""
     words = code.codewords
+    if not isinstance(symbols, Sequence):  # min() below would use up an iterator
+        symbols = list(symbols)
     # min() rules out negative indices, which words[s] would wrap; an index
     # past the end raises IndexError.  The list comprehension is about twice
     # as fast as map(words.__getitem__, ...), a slot-wrapper call per symbol.
@@ -191,10 +195,7 @@ def decode(code: PrefixCode, bits: str) -> list[int]:
     len(bits) % 4 bits one at a time.  Raises :class:`DecodeError` on bits
     that match no codeword or on a truncated final codeword.
     """
-    _require_bits(bits, DecodeError)
-    n = len(bits)
-    digits = format(int(bits or "0", 2) << (-n % 4), f"0{(n + 3) // 4}x")
-    return decode_hex(code.codewords, digits, n)
+    return decode_hex(code.codewords, _pack(bits, DecodeError), len(bits))
 
 
 def average_length(code: PrefixCode, dist: ExactDistribution) -> CodeStats:
@@ -221,7 +222,7 @@ def huffman_oracle(dist: ExactDistribution) -> PrefixCode:
     """
     n = dist.size
     if n == 1:
-        return PrefixCode(("",), mode="huffman")
+        return PrefixCode(("",))
     # Key w * n + m orders (weight w, lowest index m) as one int; a merge adds
     # the weights and keeps the smaller m.  Ids: sorted leaves 0..n-1, a sentinel
     # n, then merged nodes, whose keys come out sorted (equal weights in rising m).
@@ -241,7 +242,7 @@ def huffman_oracle(dist: ExactDistribution) -> PrefixCode:
     lengths = [0] * n
     for leaf in range(n):
         lengths[keys[leaf] % n] = up[leaf]
-    return PrefixCode(_canonical_codewords(lengths), mode="huffman")
+    return PrefixCode(_canonical_codewords(lengths))
 
 
 def frame_bits(bits: str) -> bytes:
@@ -250,14 +251,11 @@ def frame_bits(bits: str) -> bytes:
     Layout: magic "GSC1", unsigned 64-bit little-endian bit count, then the
     payload packed most-significant-bit-first with a zero-padded final byte.
     """
-    _require_bits(bits, ValueError)
-    value = int(bits or "0", 2) << (-len(bits) % 8)
-    payload = value.to_bytes((len(bits) + 7) // 8, "big")
-    return STREAM_MAGIC + struct.pack("<Q", len(bits)) + payload
+    return STREAM_MAGIC + struct.pack("<Q", len(bits)) + _pack(bits, ValueError)
 
 
-def _unframe(blob: bytes) -> tuple[str, int]:
-    """The payload of a GSC1 stream in hex digits, and its bit count, after the checks."""
+def _unframe(blob: bytes) -> tuple[bytes, int]:
+    """The payload bytes of a GSC1 stream and its bit count, after the checks."""
     if len(blob) < 12 or blob[:4] != STREAM_MAGIC:
         raise DecodeError("missing GSC1 stream header")
     (bit_count,) = struct.unpack("<Q", blob[4:12])
@@ -266,13 +264,14 @@ def _unframe(blob: bytes) -> tuple[str, int]:
         raise DecodeError(f"payload holds {len(payload)} bytes, header declares {bit_count} bits")
     if payload and payload[-1] & ((1 << (-bit_count % 8)) - 1):
         raise DecodeError("nonzero padding bits in final byte")
-    return payload.hex(), bit_count
+    return payload, bit_count
 
 
 def unframe_bits(blob: bytes) -> str:
     """Inverse of :func:`frame_bits`, with strict container validation."""
-    digits, bit_count = _unframe(blob)
-    return format(int(digits, 16) >> (-bit_count % 8), f"0{bit_count}b") if bit_count else ""
+    payload, bit_count = _unframe(blob)
+    value = int.from_bytes(payload, "big") >> (-bit_count % 8)
+    return format(value, f"0{bit_count}b") if bit_count else ""
 
 
 def format_code_table(code: PrefixCode) -> str:
@@ -281,11 +280,7 @@ def format_code_table(code: PrefixCode) -> str:
 
 
 def parse_code_table(text: str) -> PrefixCode:
-    """Load a code table; mode is inferred from the Kraft sum.
-
-    A complete table (Kraft sum exactly 1) loads as "exact", anything else
-    as "fallback".
-    """
+    """Load a code table; a complete table (Kraft sum 1) reports mode "exact"."""
     entries: dict[int, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -305,5 +300,4 @@ def parse_code_table(text: str) -> PrefixCode:
     size = len(entries)
     if sorted(entries) != list(range(size)):
         raise ValueError(f"table must cover indices 0..{size - 1} exactly once")
-    words = tuple(entries[i] for i in range(size))
-    return PrefixCode(words, mode="exact" if _kraft_sum(words) == 1 else "fallback")
+    return PrefixCode(tuple(entries[i] for i in range(size)))

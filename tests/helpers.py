@@ -437,7 +437,7 @@ def fraction_huffman(probs):
 
 def heap_huffman(dist):
     """`huffman_oracle` as built from a heap over the integer counts."""
-    return PrefixCode(reference_canonical_codewords(heap_huffman_lengths(dist.counts)), "huffman")
+    return PrefixCode(reference_canonical_codewords(heap_huffman_lengths(dist.counts)))
 
 
 def reference_canonical_codewords(lengths):
@@ -460,8 +460,7 @@ def reference_canonical_codewords(lengths):
 def reference_generic_code(space):
     """`build_generic_code` as the paper's block prefixes when D and every count are powers of two.
 
-    Otherwise Shannon lengths, assigned canonically, in mode "exact" when
-    their Fraction Kraft sum is 1.
+    Otherwise Shannon lengths, assigned canonically.
     """
     d, counts = space.dimension, space.counts
     if d & (d - 1) == 0 and all(c & (c - 1) == 0 for c in counts):
@@ -474,17 +473,16 @@ def reference_generic_code(space):
             prefix = offset >> (total_bits - length)
             words[i] = format(prefix, f"0{length}b") if length > 0 else ""
             offset += counts[i]
-        return PrefixCode(tuple(words), mode="exact")
+        return PrefixCode(tuple(words))
     lengths = []
     for c in counts:
         length = max(d.bit_length() - c.bit_length(), 0)
         lengths.append(length + ((c << length) < d))
-    kraft = sum(Fraction(1, 2**n) for n in lengths)
-    return PrefixCode(reference_canonical_codewords(lengths), "exact" if kraft == 1 else "fallback")
+    return PrefixCode(reference_canonical_codewords(lengths))
 
 
 def reference_prefix_code_error(words):
-    """The message `PrefixCode(words, "fallback")` raises, by the per-word checks, or None."""
+    """The message `PrefixCode(words)` raises, by the per-word checks, or None."""
     for i, word in enumerate(words):
         if set(word) - {"0", "1"}:
             return f"codeword {i} is not a bitstring: {word!r}"

@@ -104,6 +104,12 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match=f"symbol index {bad} out of range"):
             encode(DYADIC_CODE, symbols)
 
+    @pytest.mark.parametrize("make", [iter, lambda s: (x for x in s)], ids=["iterator", "generator"])
+    def test_encode_reads_an_iterable_once(self, make):
+        assert encode(DYADIC_CODE, make([0, 1, 0, 3])) == "0100111"
+        with pytest.raises(ValueError, match="symbol index 5 out of range"):
+            encode(DYADIC_CODE, make([0, 5, -1]))
+
     def test_decode_example(self):
         assert decode(DYADIC_CODE, "0100111") == [0, 1, 0, 3]
 
@@ -115,13 +121,19 @@ class TestEncodeDecode:
             decode(DYADIC_CODE, "11")
 
     def test_decode_unmatched_bits(self):
-        incomplete = PrefixCode(("0", "10", "110"), mode="fallback")
+        incomplete = PrefixCode(("0", "10", "110"))
         with pytest.raises(DecodeError, match="match no codeword"):
             decode(incomplete, "111")
 
     def test_decode_rejects_non_bits(self):
         with pytest.raises(DecodeError):
             decode(DYADIC_CODE, "01x")
+
+    # A lone surrogate, which str.encode refuses; "0b1", which int(..., 2) takes.
+    @pytest.mark.parametrize("bits", ["0\ud800", "0b1"], ids=["surrogate", "0b-prefix"])
+    def test_decode_refuses_a_surrogate_and_a_0b_prefix(self, bits):
+        with pytest.raises(DecodeError, match="^stream contains characters other than 0 and 1$"):
+            decode(DYADIC_CODE, bits)
 
 
 class TestAverageLength:
@@ -253,13 +265,15 @@ def test_unreduced_dyadic_space_gets_an_exact_code(space):
 @given(st.lists(st.text("01x", max_size=5), min_size=1, max_size=8))
 @example(["", "1x"])
 @example(["0x", ""])
+@example(["1", "0\ud800"])  # a lone surrogate, which str.encode refuses
+@example(["1", "0b1"])  # int("0b1", 2) is 1
 def test_prefix_code_checks_match_per_word_reference(words):
     expected = reference_prefix_code_error(words)
     if expected is None:
-        PrefixCode(tuple(words), mode="fallback")
+        PrefixCode(tuple(words))
         return
     with pytest.raises(ValueError) as excinfo:
-        PrefixCode(tuple(words), mode="fallback")
+        PrefixCode(tuple(words))
     assert str(excinfo.value) == expected
 
 
@@ -339,7 +353,7 @@ def prefix_codes(draw):
     form = draw(st.sampled_from(["drawn", "canonical", "table"]))
     if form == "canonical":
         words = _canonical_codewords([len(w) for w in words])
-    code = PrefixCode(words, mode="fallback")
+    code = PrefixCode(words)
     if form == "table" or code.kraft_sum() == 1:
         code = parse_code_table(format_code_table(code))
     return code
@@ -412,6 +426,11 @@ def test_code_table_mode_follows_fraction_kraft_sum(code):
     assert loaded.mode == ("exact" if _fraction_kraft_sum(code.codewords) == 1 else "fallback")
 
 
+@given(prefix_codes())
+def test_mode_is_exact_exactly_when_fraction_kraft_sum_is_one(code):
+    assert code.mode == ("exact" if _fraction_kraft_sum(code.codewords) == 1 else "fallback")
+
+
 @given(prefix_codes(), st.data())
 def test_decode_matches_bit_by_bit_reference(code, data):
     _assert_decodes_like_oracles(code, data.draw(bit_streams(code)))
@@ -420,32 +439,32 @@ def test_decode_matches_bit_by_bit_reference(code, data):
 class TestDecodeAgainstReference:
     """Fixed cases for the table decoder's edges, checked against both oracles."""
 
-    LONG = PrefixCode(("0", "10", "11" + "0" * 38, "11" + "1" * 38), mode="fallback")
+    LONG = PrefixCode(("0", "10", "11" + "0" * 38, "11" + "1" * 38))
 
     @pytest.mark.parametrize(
         "code, bits",
         [
             # Window of the final codeword runs past the end of the stream.
             (DYADIC_CODE, "011"),
-            (PrefixCode(("0", "10", "110"), mode="fallback"), "011"),
-            (PrefixCode(("0", "10", "110"), mode="fallback"), "0111"),
+            (PrefixCode(("0", "10", "110")), "011"),
+            (PrefixCode(("0", "10", "110")), "0111"),
             # Codewords longer than the root table's window.
             (LONG, "0" + "11" + "1" * 38 + "10" + "11" + "0" * 38),
             (LONG, "0" + "11" + "0" * 20),
             (LONG, "10" + "11" + "0" * 37 + "1"),
             (LONG, "11" + "01" * 19),
             # One-symbol codes.
-            (PrefixCode(("",), mode="exact"), ""),
-            (PrefixCode(("",), mode="exact"), "0"),
-            (PrefixCode(("",), mode="exact"), "x"),
-            (PrefixCode(("01",), mode="fallback"), "0101"),
-            (PrefixCode(("01",), mode="fallback"), "010"),
+            (PrefixCode(("",)), ""),
+            (PrefixCode(("",)), "0"),
+            (PrefixCode(("",)), "x"),
+            (PrefixCode(("01",)), "0101"),
+            (PrefixCode(("01",)), "010"),
             # A non-bit character after a decoding error still wins.
             (DYADIC_CODE, "11x"),
             # A 4-bit step completes a symbol and then reaches a dead prefix.
-            (PrefixCode(("0", "10", "110"), mode="fallback"), "00111"),
-            (PrefixCode(("0", "10", "110"), mode="fallback"), "01110"),
-            (PrefixCode(("00", "01"), mode="fallback"), "0010"),
+            (PrefixCode(("0", "10", "110")), "00111"),
+            (PrefixCode(("0", "10", "110")), "01110"),
+            (PrefixCode(("00", "01")), "0010"),
             # A codeword of 32 bits or more is looked up on the stream: it ends
             # on a step boundary, inside a step, and in the last bits.
             (LONG, "11" + "1" * 38 + "0"),
@@ -470,7 +489,7 @@ class TestDecodeAgainstReference:
         # 11 bits and one of 31 bits; codeword 00000000101 is missing.
         words = [format(i, "011b") for i in range(2048) if i != 5]
         words[-1] += "0" * 20
-        code = PrefixCode(tuple(words), mode="fallback")
+        code = PrefixCode(tuple(words))
         symbols = [0, 2046, 1000, 5, 2046, 2045]
         bits = encode(code, symbols)
         assert decode(code, bits) == symbols
@@ -521,29 +540,26 @@ def test_ceil_log2_ratio_matches_shift_loop(numerator, data):
 class TestPrefixCodeValidation:
     def test_rejects_prefix_collision(self):
         with pytest.raises(ValueError, match="prefix"):
-            PrefixCode(("0", "01"), mode="fallback")
+            PrefixCode(("0", "01"))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="prefix"):
-            PrefixCode(("10", "10"), mode="fallback")
+            PrefixCode(("10", "10"))
 
     def test_rejects_non_bitstring(self):
         with pytest.raises(ValueError, match="bitstring"):
-            PrefixCode(("0", "1x"), mode="fallback")
+            PrefixCode(("0", "1x"))
+
+    def test_a_code_is_its_codewords(self):
+        assert PrefixCode._fields == ("codewords",)
+        with pytest.raises(TypeError):
+            PrefixCode(("0", "1"), "exact")
 
     def test_canonical_assignment_rejects_kraft_violation(self):
         from genspace.coding import _canonical_codewords
 
         with pytest.raises(ValueError, match="Kraft"):
             _canonical_codewords([1, 1, 2])
-
-    def test_exact_requires_complete_kraft(self):
-        with pytest.raises(ValueError, match="Kraft"):
-            PrefixCode(("0", "10"), mode="exact")
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            PrefixCode(("0", "1"), mode="optimal")
 
 
 class TestFraming:
@@ -586,6 +602,8 @@ def test_frame_round_trips_every_bitstring(bits):
 @example("", "+", "1")
 @example("", "-", "1")
 @example("1", "\u0661", "")  # ARABIC-INDIC DIGIT ONE, a digit to int()
+@example("0", "\ud800", "")  # a lone surrogate, which str.encode refuses
+@example("0", "b", "1")  # int("0b1", 2) is 1
 def test_frame_rejects_non_bit_characters(head, bad, tail):
     with pytest.raises(ValueError, match="other than 0 and 1"):
         frame_bits(head + bad + tail)
@@ -653,6 +671,19 @@ class TestCodeTable:
         loaded = parse_code_table(text)
         assert loaded.codewords == DYADIC_CODE.codewords
         assert loaded.mode == "exact"
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            DYADIC_CODE,
+            build_generic_code(GenericSpace(7, (3, 2, 1, 1))),
+            huffman_oracle(ExactDistribution([F(1, 3), F(1, 3), F(1, 6), F(1, 6)])),
+            PrefixCode(("0", "10", "110")),
+        ],
+        ids=["generic-exact", "generic-fallback", "huffman", "incomplete"],
+    )
+    def test_table_reloads_as_the_code_it_was_written_from(self, code):
+        assert parse_code_table(format_code_table(code)) == code
 
     def test_incomplete_table_loads_as_fallback(self):
         loaded = parse_code_table("0\t0\n1\t10\n")

@@ -43,9 +43,9 @@ RECORDS = [
     ),
     (
         PrefixCode,
-        dict(codewords=("0", "1"), mode="exact"),
+        dict(codewords=("0", "1")),
         lambda: build_generic_code(_fair_coin()),
-        "PrefixCode(codewords=('0', '1'), mode='exact')",
+        "PrefixCode(codewords=('0', '1'))",
     ),
     (
         CodeStats,
@@ -119,8 +119,8 @@ def test_records_are_tuples():
     dimension, counts = GenericSpace(3, (2, 1))
     assert (dimension, counts) == (3, (2, 1))
     assert GenericSpace(3, (2, 1)) == (3, (2, 1))
-    code = PrefixCode(("0", "1"), "exact")
-    assert len(code) == 2 and code[1] == "exact" and code.size == 2
+    code = PrefixCode(("0", "1"))
+    assert len(code) == 1 and code[0] == ("0", "1") and code.size == 2
     suite = entropy_suite(_fair_coin())
     assert suite._replace(projection=0.5).projection == 0.5
     assert suite.projection == 1.0
@@ -129,7 +129,7 @@ def test_records_are_tuples():
 def test_replace_keeps_the_class_and_its_properties():
     space = GenericSpace(2, (1, 1))._replace(dimension=3, counts=[2, 1])
     assert type(space) is GenericSpace and space.counts == (2, 1) and space.size == 2
-    code = PrefixCode(("0", "1"), "exact")._replace(mode="huffman")
+    code = PrefixCode(("0", "1"))._replace(codewords=("1", "0"))
     assert type(code) is PrefixCode and code.lengths() == (1, 1)
 
 
@@ -141,12 +141,9 @@ def test_replace_keeps_the_class_and_its_properties():
         (lambda: GenericSpace._make((2, (1,))), ValueError, "sum to 1"),
         (lambda: GenericSpace._make((0, ())), ValueError, "dimension must be >= 1"),
         (lambda: GenericSpace._make((2,)), TypeError, "counts"),
-        (lambda: PrefixCode(("0", "1"), "exact")._replace(codewords=("0", "0")),
+        (lambda: PrefixCode(("0", "1"))._replace(codewords=("0", "0")),
          ValueError, "not prefix-free"),
-        (lambda: PrefixCode(("0", "1"), "exact")._replace(mode="best"),
-         ValueError, "unknown code mode"),
-        (lambda: PrefixCode._make((("0", "10"), "exact")), ValueError, "Kraft sum 1"),
-        (lambda: PrefixCode._make(((), "fallback")), ValueError, "at least one codeword"),
+        (lambda: PrefixCode._make(((),)), ValueError, "at least one codeword"),
     ],
 )
 def test_make_and_replace_run_the_constructor_checks(make, error, match):
