@@ -177,7 +177,8 @@ def run_analyze(args: argparse.Namespace) -> int:
             "v_info": volumes.v_info,
             "v_uinfo": volumes.v_uinfo,
             "exact_computed": volumes.exact_computed,
-            "log2_ratio": volumes.log2_ratio,
+            # D * H past the float range is null; no other field can leave it.
+            "log2_ratio": volumes.log2_ratio if math.isfinite(volumes.log2_ratio) else None,
             "H_shannon": suite.shannon,
             "H_shannon_via_ratio": suite.shannon_via_ratio,
             "eff_dim": suite.effective_dimension,

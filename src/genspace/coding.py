@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._decoder import DecodeError, decode_hex
-from .distribution import ExactDistribution, GenericSpace, _int_tokens, _make_checked
+from .distribution import ExactDistribution, _int_tokens
 from .entropy import shannon_entropy
 
 __all__ = [
@@ -54,6 +54,11 @@ STREAM_MAGIC = b"GSC1"
 def _is_bits(text: str) -> bool:
     """Whether text is all "0" and "1"; isascii() first, as encode() raises on a lone surrogate."""
     return text.isascii() and not text.encode().translate(None, b"01")
+
+
+def _make_checked(cls, iterable: Iterable):
+    """A `_make` that calls the class: namedtuple's calls tuple.__new__, skipping its checks."""
+    return cls(*iterable)
 
 
 _PrefixCodeFields = NamedTuple("_PrefixCodeFields", [("codewords", tuple)])
@@ -146,13 +151,13 @@ def _canonical_codewords(lengths: Sequence[int]) -> tuple[str, ...]:
     return tuple(words)
 
 
-def build_generic_code(space: GenericSpace | ExactDistribution) -> PrefixCode:
-    """Derive a prefix code from a generic space.
+def build_generic_code(space: ExactDistribution) -> PrefixCode:
+    """Derive a prefix code from the generic space of a distribution.
 
     Lengths ceil(log2(D / count)), assigned canonically; on a dyadic space
     these are the block prefixes of the module docstring.  The code is
     complete, mode "exact", exactly when every count << length == D.  A
-    distribution is a reduced space, so for it "exact" means that D and every
+    distribution is its own reduced space, so "exact" means that D and every
     count are powers of two.  Codewords are returned in original symbol order.
     """
     return PrefixCode(_canonical_codewords(_ceil_log2_ratios(space.dimension, space.counts)))

@@ -7,10 +7,11 @@ space that collapses onto the observed distribution when the N_i outcomes
 of each group are merged into one indistinguishable outcome; we call D the
 generic dimension and the pair (D, counts) the generic space.
 
-Everything here is exact, and the generic space is the representation: a
-distribution stores the integers (D, counts), reduced so that
-gcd(D, *counts) == 1, and no operation rounds.  `fractions.Fraction` views
-of the probabilities are built only at the edges, on request.
+Everything here is exact, and a distribution is its own generic space: it
+stores the integers (D, counts), reduced so that gcd(D, *counts) == 1, and
+no operation rounds.  :func:`collapse` takes any uniform space onto that
+reduced form.  `fractions.Fraction` views of the probabilities are built
+only at the edges, on request.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import math
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ExactDistribution",
-    "GenericSpace",
     "parse_distribution",
     "format_distribution",
     "generic_space",
@@ -160,48 +160,6 @@ class ExactDistribution(_ReducedSpace):
         return f"ExactDistribution({format_distribution(self)!r})"
 
 
-def _make_checked(cls, iterable: Iterable):
-    """A `_make` that calls the class: namedtuple's calls tuple.__new__, skipping its checks."""
-    return cls(*iterable)
-
-
-_GenericSpaceFields = NamedTuple("_GenericSpaceFields", [("dimension", int), ("counts", tuple)])
-
-
-class GenericSpace(_GenericSpaceFields):
-    """A uniform space of `dimension` outcomes grouped into blocks of `counts`.
-
-    Collapsing block i onto a single outcome yields probability
-    counts[i] / dimension.  Unlike a distribution, the space need not be
-    reduced: (600, (300, 300)) and (2, (1, 1)) have different volumes.
-    The dimension and every count must be of type int (a bool is refused).
-    """
-
-    __slots__ = ()
-    _make = classmethod(_make_checked)  # so `_replace` checks too
-
-    def __new__(cls, dimension: int, counts: Iterable[int]) -> GenericSpace:
-        counts = tuple(counts)
-        if type(dimension) is not int or set(map(type, counts)) - {int}:
-            bad = next(x for x in (dimension, *counts) if type(x) is not int)
-            raise TypeError(f"dimension and counts must be ints, got {bad!r}")
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if not counts:
-            raise ValueError("counts must be non-empty")
-        for i, c in enumerate(counts):
-            if c < 1:
-                raise ValueError(f"count at index {i} is {c}; all must be >= 1")
-        if sum(counts) != dimension:
-            raise ValueError(f"counts sum to {sum(counts)} but dimension is {dimension}")
-        return super().__new__(cls, dimension, counts)
-
-    @property
-    def size(self) -> int:
-        """Number of outcomes in the measurement space."""
-        return len(self.counts)
-
-
 def parse_distribution(text: str) -> ExactDistribution:
     """Parse whitespace-separated "n/d" (or integer "n") tokens.
 
@@ -218,26 +176,40 @@ def format_distribution(dist: ExactDistribution) -> str:
     return " ".join(f"{p.numerator}/{p.denominator}" for p in dist.probs)
 
 
-def generic_space(dist: ExactDistribution) -> GenericSpace:
-    """The minimal generic space of a distribution, which it stores.
+def generic_space(dist: ExactDistribution) -> ExactDistribution:
+    """The minimal generic space of a distribution: the distribution itself.
 
-    The dimension is the lcm of the reduced denominators, which makes it
-    the smallest D for which every D * p_i is an integer; the counts are
-    then coprime as a set.
+    A distribution stores its reduced space (D, counts), whose dimension is
+    the lcm of the reduced denominators, the smallest D for which every
+    D * p_i is an integer; the counts are then coprime as a set.
     """
-    return GenericSpace(dist.dimension, dist.counts)
+    return dist
 
 
 def collapse(dimension: int, counts: Sequence[int]) -> ExactDistribution:
     """Merge each block of a uniform `dimension`-outcome space into one outcome.
 
     Returns the distribution with p_i = counts[i] / dimension, stored over
-    the space divided by gcd(dimension, *counts).  Inverse of
-    :func:`generic_space` whenever the counts are setwise coprime.
+    the space divided by gcd(dimension, *counts), so (600, (300, 300))
+    gives the space (2, (1, 1)).  The dimension and every count must be of
+    type int (a bool is refused), every count >= 1, and they must sum to
+    the dimension.
     """
-    space = GenericSpace(dimension, tuple(counts))
-    g = math.gcd(space.dimension, *space.counts)
-    return ExactDistribution._of(space.dimension // g, tuple(c // g for c in space.counts))
+    counts = tuple(counts)
+    if type(dimension) is not int or set(map(type, counts)) - {int}:
+        bad = next(x for x in (dimension, *counts) if type(x) is not int)
+        raise TypeError(f"dimension and counts must be ints, got {bad!r}")
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if not counts:
+        raise ValueError("counts must be non-empty")
+    for i, c in enumerate(counts):
+        if c < 1:
+            raise ValueError(f"count at index {i} is {c}; all must be >= 1")
+    if sum(counts) != dimension:
+        raise ValueError(f"counts sum to {sum(counts)} but dimension is {dimension}")
+    g = math.gcd(dimension, *counts)
+    return ExactDistribution._of(dimension // g, tuple(c // g for c in counts))
 
 
 def tensor_product(p: ExactDistribution, q: ExactDistribution) -> ExactDistribution:

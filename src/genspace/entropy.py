@@ -27,7 +27,7 @@ from contextlib import suppress
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .distribution import ExactDistribution, GenericSpace
+from .distribution import ExactDistribution
 
 __all__ = [
     "VolumeReport",
@@ -38,7 +38,6 @@ __all__ = [
     "effective_dimension",
     "renyi_entropy",
     "tsallis_entropy",
-    "projection_ratio",
     "projection_entropy",
     "entropy_suite",
 ]
@@ -113,12 +112,14 @@ def _log_ratio(d: int, triples: Iterable[tuple[int, int, int]]) -> tuple[float, 
 
 
 def combinatorial_volumes(
-    space: GenericSpace | ExactDistribution, exact_limit: int = DEFAULT_EXACT_LIMIT
+    space: ExactDistribution, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> VolumeReport:
     """Compute V_info = prod(N_i^N_i) and V_uinfo = D^D for a generic space.
 
-    The exact big-integer values (and their exact ratio) are produced when
-    the dimension does not exceed `exact_limit`.  The log-domain values
+    `space` is a distribution, its own reduced generic space, and it keeps
+    the Shannon entropy read here for :func:`entropy_suite` to reuse.  The
+    exact big-integer values (and their exact ratio) are produced when the
+    dimension does not exceed `exact_limit`.  The log-domain values
     sum(N_i * log2 N_i) and D * log2 D are computed unconditionally, and are
     inf once they pass the float range.  `log2_ratio` is D * H, with H the
     Shannon entropy from the kernel: formed exactly and rounded once, it is
@@ -153,22 +154,20 @@ def combinatorial_volumes(
     )
 
 
-def shannon_entropy(dist: ExactDistribution | GenericSpace, base: int = 2) -> float:
-    """-sum(p_i log_b p_i), the kernel over (c_i, D, c_i); a distribution keeps it in bits."""
+def shannon_entropy(dist: ExactDistribution, base: int = 2) -> float:
+    """-sum(p_i log_b p_i), the kernel over (c_i, D, c_i); the distribution keeps it in bits."""
     bits = getattr(dist, "_bits", None)
     if bits is None:
-        bits = _log_ratio(dist.dimension, [(c, dist.dimension, c) for c in dist.counts])[0]
-        if isinstance(dist, ExactDistribution):
-            dist._bits = bits
+        bits = dist._bits = _log_ratio(dist.dimension, [(c, dist.dimension, c) for c in dist.counts])[0]
     return _in_base(bits, base)
 
 
-def shannon_via_ratio(space: GenericSpace | ExactDistribution, base: int = 2) -> float:
+def shannon_via_ratio(space: ExactDistribution, base: int = 2) -> float:
     """Entropy as (1/D) * log_b of the volume ratio V_uinfo / V_info.
 
     (1/D) * log2(D^D / prod(N_i^N_i)) = sum((N_i/D) * log2(D/N_i)), which is
-    the kernel's sum over (N_i, D, N_i): the same float as
-    :func:`shannon_entropy` of the same space, within the kernel's bound at
+    the kernel's sum over (N_i, D, N_i) for the distribution `space`: the
+    same float as :func:`shannon_entropy`, within the kernel's bound at
     every D.
     """
     return shannon_entropy(space, base)
@@ -228,16 +227,6 @@ def tsallis_entropy(dist: ExactDistribution, order: float) -> float:
     """
     _check_order(order, "Tsallis")
     return math.expm1((1.0 - order) * renyi_entropy(dist, order, 2) * math.log(2)) / (1.0 - order)
-
-
-def projection_ratio(dist: ExactDistribution) -> Fraction:
-    """Exact product of all probabilities.
-
-    Equals prod(N_i) / D^N: the volume of the hypercuboid with edges N_i
-    relative to the hypercube of edge D in the N-dimensional space.  It
-    builds D**N exactly, N * log2(D) bits (125 MB at N = 1e5, D ~ 2^10000).
-    """
-    return Fraction(math.prod(dist.counts), dist.dimension ** dist.size)
 
 
 def projection_entropy(dist: ExactDistribution, base: int = 2) -> float:

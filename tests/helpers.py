@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis import target
 
-from genspace import DecodeError, ExactDistribution, GenericSpace, JointDistribution, PrefixCode
+from genspace import DecodeError, ExactDistribution, JointDistribution, PrefixCode, collapse
 from genspace.born import COMPLETENESS_TOL, EIGENVALUE_FLOOR, SYMMETRY_TOL
 from genspace.coding import _require_bits
 from genspace.distribution import _int_tokens
@@ -33,10 +33,25 @@ def random_distribution(rng, max_outcomes=6, max_denominator=64, min_outcomes=1)
     return ExactDistribution(Fraction(w, q) for w in random_composition(rng, q, n))
 
 
+def reduced_space(dimension, counts):
+    """collapse(dimension, counts) over the same D, for two or more counts.
+
+    While gcd(D, *counts) > 1, one unit moves from the largest count to the
+    next, so the space is reduced without shrinking D.  One outcome has only
+    the space (1, (1,)).
+    """
+    counts = list(counts)
+    i = counts.index(max(counts))
+    while len(counts) > 1 and math.gcd(dimension, *counts) > 1:
+        counts[i] -= 1
+        counts[(i + 1) % len(counts)] += 1
+    return collapse(dimension, counts)
+
+
 def random_generic_space(rng, max_dimension=512, max_parts=6):
     d = int(rng.integers(2, max_dimension + 1))
     parts = int(rng.integers(1, min(max_parts, d) + 1))
-    return GenericSpace(d, tuple(random_composition(rng, d, parts)))
+    return reduced_space(d, random_composition(rng, d, parts))
 
 
 def random_wide_space(rng, max_bits=4096, max_parts=6):
@@ -49,19 +64,20 @@ def random_wide_space(rng, max_bits=4096, max_parts=6):
     if rng.random() < 1 / 3:
         small = [int(x) for x in rng.integers(1, 11, size=parts - 1)]
         d = sum(small) + 1 + int.from_bytes(rng.bytes(bits // 8 + 1), "little") % 2**bits
-        return GenericSpace(d, (*small, d - sum(small)))
+        return reduced_space(d, (*small, d - sum(small)))
     d = max(parts, int.from_bytes(rng.bytes(bits // 8 + 1), "little") % 2**bits)
     cuts = sorted({1 + int.from_bytes(rng.bytes(bits // 8 + 1), "little") % (d - 1)
                    for _ in range(parts - 1)}) if d > 1 else []
     edges = [0, *cuts, d]
-    return GenericSpace(d, tuple(b - a for a, b in zip(edges, edges[1:])))
+    return reduced_space(d, [b - a for a, b in zip(edges, edges[1:])])
 
 
 def random_dyadic_space(rng, max_log2=12, max_parts=64):
     """Generic space with a power-of-two dimension and power-of-two counts.
 
     Built by repeatedly halving a random splittable block, which reaches
-    every power-of-two composition.
+    every power-of-two composition, then reduced: D is 2^k over the
+    smallest count.
     """
     k = int(rng.integers(1, max_log2 + 1))
     d = 2**k
@@ -74,7 +90,7 @@ def random_dyadic_space(rng, max_log2=12, max_parts=64):
         c = counts.pop(int(rng.choice(splittable)))
         counts.extend([c // 2, c // 2])
     order = rng.permutation(len(counts))
-    return GenericSpace(d, tuple(int(counts[i]) for i in order))
+    return collapse(d, [int(counts[i]) for i in order])
 
 
 def random_joint(rng, max_rows=8, max_cols=8, max_denominator=64):
@@ -717,7 +733,8 @@ def wide_spaces(draw, max_bits=4096, max_outcomes=8):
     """A generic space over D up to 2**max_bits: near-certain, near-uniform or random.
 
     Near-certain spaces put 1-10 units on every outcome but the last;
-    near-uniform ones move up to 1000 units between equal counts.
+    near-uniform ones move up to 1000 units between equal counts.  Each is
+    reduced over the D drawn (:func:`reduced_space`).
     """
     n = draw(st.integers(1, max_outcomes))
     top = 2 ** draw(st.integers(1, max_bits))
@@ -737,7 +754,7 @@ def wide_spaces(draw, max_bits=4096, max_outcomes=8):
     else:
         dimension = draw(st.integers(n, max(n, top)))
         counts = _composition(draw, dimension, n) if n > 1 else [dimension]
-    return GenericSpace(dimension, tuple(counts))
+    return reduced_space(dimension, counts)
 
 
 @st.composite

@@ -193,7 +193,7 @@ class TestAnalyze:
 
     def test_log2_ratio_past_the_float_range_is_inf(self, tmp_path, capsys):
         # H is about 0.918 bits, so D * H is about 2^1100: inf in the text
-        # report, and refused by --json, which allows no infinity.
+        # report, and null in --json, which allows no infinity.
         d = 2**1100 + 1
         path = tmp_path / "wide.dist"
         path.write_text(f"{d // 3}/{d} {d - d // 3}/{d}\n")
@@ -201,12 +201,12 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "log2_ratio:          inf\n" in out
         assert "H_shannon:           0.918295834054\n" in out
-        assert main(["analyze", str(path), "--json"]) == 2
+        assert main(["analyze", str(path), "--json"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: Out of range float values are not JSON compliant: inf\n"
-        )
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["log2_ratio"] is None
+        assert f"{report['H_shannon']:.12g}" == "0.918295834054"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_dimension_past_the_digit_limit_prints_nothing(

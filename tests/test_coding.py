@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from genspace import (
     DecodeError,
     ExactDistribution,
-    GenericSpace,
     PrefixCode,
     average_length,
     build_generic_code,
@@ -50,7 +49,7 @@ from helpers import (
 F = Fraction
 
 DYADIC = ExactDistribution([F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
-DYADIC_CODE = build_generic_code(GenericSpace(8, (4, 2, 1, 1)))
+DYADIC_CODE = build_generic_code(collapse(8, (4, 2, 1, 1)))
 
 
 class TestBuildGenericCode:
@@ -59,26 +58,26 @@ class TestBuildGenericCode:
         assert DYADIC_CODE.mode == "exact"
 
     def test_uniform_fixed_length(self):
-        code = build_generic_code(GenericSpace(4, (1, 1, 1, 1)))
+        code = build_generic_code(collapse(4, (1, 1, 1, 1)))
         assert code.codewords == ("00", "01", "10", "11")
         assert code.mode == "exact"
 
     def test_non_dyadic_fallback(self):
         # ceil(log2(3/2)) = 1, ceil(log2(3)) = 2
-        code = build_generic_code(GenericSpace(3, (2, 1)))
+        code = build_generic_code(collapse(3, (2, 1)))
         assert code.mode == "fallback"
         assert code.codewords == ("0", "10")
         assert code.kraft_sum() == F(3, 4)
 
     def test_unsorted_counts_still_block_aligned(self):
         # Sorting by descending count must happen before block assignment.
-        code = build_generic_code(GenericSpace(8, (1, 4, 1, 2)))
+        code = build_generic_code(collapse(8, (1, 4, 1, 2)))
         assert code.mode == "exact"
         assert code.lengths() == (3, 1, 3, 2)
         assert code.kraft_sum() == 1
 
     def test_single_symbol(self):
-        code = build_generic_code(GenericSpace(1, (1,)))
+        code = build_generic_code(collapse(1, (1,)))
         assert code.codewords == ("",)
         assert code.kraft_sum() == 1
 
@@ -144,7 +143,7 @@ class TestAverageLength:
 
     def test_uniform(self):
         uniform = collapse(4, (1, 1, 1, 1))
-        code = build_generic_code(GenericSpace(4, (1, 1, 1, 1)))
+        code = build_generic_code(uniform)
         assert average_length(code, uniform).average_length == 2
 
     def test_fallback_bent_coin(self):
@@ -234,11 +233,11 @@ def test_huffman_matches_heap_oracle(counts):
 @given(tied_counts | st.lists(st.integers(0, 12), min_size=1, max_size=1000).map(dyadic_counts))
 @example([1] * 1024)
 def test_generic_code_matches_reference(counts):
-    space = GenericSpace(sum(counts), tuple(counts))
+    space = collapse(sum(counts), tuple(counts))
     assert build_generic_code(space) == reference_generic_code(space)
 
 
-# Dyadic counts times an odd k >= 3: an unreduced space whose D is not a power of two.
+# Dyadic counts times an odd k >= 3, which collapse reduces to a dyadic space.
 scaled_dyadic_counts = st.builds(
     lambda counts, k: [c * k for c in counts],
     st.lists(st.integers(0, 12), min_size=1, max_size=200).map(dyadic_counts),
@@ -251,15 +250,8 @@ scaled_dyadic_counts = st.builds(
 @example([3, 3])
 @example([6, 3, 3])
 def test_generic_code_table_reloads_as_built(counts):
-    code = build_generic_code(GenericSpace(sum(counts), tuple(counts)))
+    code = build_generic_code(collapse(sum(counts), tuple(counts)))
     assert parse_code_table(format_code_table(code)) == code
-
-
-@pytest.mark.parametrize("space", [GenericSpace(6, (3, 3)), GenericSpace(12, (6, 3, 3))])
-def test_unreduced_dyadic_space_gets_an_exact_code(space):
-    code = build_generic_code(space)
-    assert code.mode == "exact"
-    assert average_length(code, collapse(space.dimension, space.counts)).entropy_gap == 0.0
 
 
 @given(st.lists(st.text("01x", max_size=5), min_size=1, max_size=8))
@@ -499,7 +491,7 @@ class TestDecodeAgainstReference:
 
     def test_codeword_of_10000_bits(self):
         # Its prefixes are no table states, so memory stays near the stream's size.
-        code = build_generic_code(GenericSpace(2**10000, (1, 2**10000 - 1)))
+        code = build_generic_code(collapse(2**10000, (1, 2**10000 - 1)))
         symbols = [1, 0, 1, 1, 0, 0, 1]
         bits = encode(code, symbols)
         tracemalloc.start()
@@ -514,7 +506,7 @@ class TestDecodeAgainstReference:
 
     def test_round_trip_with_a_4096_symbol_code(self):
         rng = np.random.default_rng(89)
-        code = build_generic_code(GenericSpace(2**13 + 1, (3,) + (2,) * 4095))
+        code = build_generic_code(collapse(2**13 + 1, (3,) + (2,) * 4095))
         assert code.size == 2**12
         symbols = [int(s) for s in rng.integers(0, code.size, size=20_000)]
         assert decode(code, encode(code, symbols)) == symbols
@@ -637,7 +629,7 @@ def test_unframe_valid_header_arbitrary_payload(payload, data):
 class TestGoldenStream:
     """GSC1 bytes pinned by hand: any change to encode/frame shows here."""
 
-    FALLBACK_CODE = build_generic_code(GenericSpace(7, (3, 2, 1, 1)))
+    FALLBACK_CODE = build_generic_code(collapse(7, (3, 2, 1, 1)))
 
     CASES = [
         # (code, symbols, bit count, framed stream as hex)
@@ -676,7 +668,7 @@ class TestCodeTable:
         "code",
         [
             DYADIC_CODE,
-            build_generic_code(GenericSpace(7, (3, 2, 1, 1))),
+            build_generic_code(collapse(7, (3, 2, 1, 1))),
             huffman_oracle(ExactDistribution([F(1, 3), F(1, 3), F(1, 6), F(1, 6)])),
             PrefixCode(("0", "10", "110")),
         ],

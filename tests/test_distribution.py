@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from genspace import (
     ExactDistribution,
-    GenericSpace,
     collapse,
     format_distribution,
     generic_space,
@@ -127,6 +126,10 @@ class TestExactDistribution:
 
 
 class TestGenericSpaceConstruction:
+    def test_a_distribution_is_its_own_generic_space(self):
+        dist = parse_distribution("1/2 1/4 1/8 1/8")
+        assert generic_space(dist) is dist
+
     def test_dyadic_example(self):
         space = generic_space(parse_distribution("1/2 1/4 1/8 1/8"))
         assert (space.dimension, space.counts) == (8, (4, 2, 1, 1))
@@ -175,18 +178,18 @@ class TestGenericSpaceConstruction:
             ("3", (2, 1)),
         ]:
             with pytest.raises(TypeError, match="must be ints"):
-                GenericSpace(dimension, counts)
-        assert GenericSpace(3, [2, 1]).counts == (2, 1)
+                collapse(dimension, counts)
+        assert collapse(3, [2, 1]).counts == (2, 1)
 
     def test_type_validation(self):
         with pytest.raises(ValueError, match="sum to 3"):
-            GenericSpace(4, (2, 1))
+            collapse(4, (2, 1))
         with pytest.raises(ValueError, match="count at index 1"):
-            GenericSpace(2, (2, 0))
+            collapse(2, (2, 0))
         with pytest.raises(ValueError, match="dimension"):
-            GenericSpace(0, ())
+            collapse(0, ())
         with pytest.raises(ValueError, match="^counts must be non-empty$"):
-            GenericSpace(1, ())
+            collapse(1, ())
 
 
 class TestCollapse:

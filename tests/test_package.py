@@ -24,6 +24,9 @@ FORTY_SIX_NAMES = [
     "marginals", "joint_entropy", "conditional_entropy", "mutual_information",
     "check_inequalities",
 ]
+# Removed from the API since: a distribution is its own generic space, and the
+# exact projection ratio built D**N.
+REMOVED_NAMES = {"GenericSpace", "projection_ratio"}
 LAYER_NAMES = {
     "parse_joint", "format_joint", "parse_code_table", "format_code_table",
     "parse_matrix", "format_matrix",
@@ -119,5 +122,7 @@ def test_every_layer_name_is_the_package_name():
 
 
 def test_export_list_keeps_the_forty_six_names_in_order():
-    assert [name for name in genspace.__all__ if name in FORTY_SIX_NAMES] == FORTY_SIX_NAMES
+    kept = [name for name in FORTY_SIX_NAMES if name not in REMOVED_NAMES]
+    assert [name for name in genspace.__all__ if name in FORTY_SIX_NAMES] == kept
     assert set(genspace.__all__) - set(FORTY_SIX_NAMES) == LAYER_NAMES
+    assert len(genspace.__all__) == 50 and not REMOVED_NAMES & set(dir(genspace))

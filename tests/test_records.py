@@ -1,4 +1,4 @@
-"""The seven result records: named tuples, immutable, and checked where they validate."""
+"""The six result records: named tuples, immutable, and checked where they validate."""
 
 from fractions import Fraction as F
 
@@ -8,7 +8,6 @@ from genspace import (
     CodeStats,
     DensityValidation,
     EntropySuite,
-    GenericSpace,
     InequalityReport,
     PrefixCode,
     VolumeReport,
@@ -35,12 +34,6 @@ INEQUALITY_FIELDS = dict(
 
 # (record class, keyword fields, the library call that returns the same record, repr)
 RECORDS = [
-    (
-        GenericSpace,
-        dict(dimension=3, counts=(2, 1)),
-        lambda: GenericSpace(3, [2, 1]),
-        "GenericSpace(dimension=3, counts=(2, 1))",
-    ),
     (
         PrefixCode,
         dict(codewords=("0", "1")),
@@ -116,9 +109,6 @@ def test_equal_values_hash_equal(cls, fields, call, text):
 
 
 def test_records_are_tuples():
-    dimension, counts = GenericSpace(3, (2, 1))
-    assert (dimension, counts) == (3, (2, 1))
-    assert GenericSpace(3, (2, 1)) == (3, (2, 1))
     code = PrefixCode(("0", "1"))
     assert len(code) == 1 and code[0] == ("0", "1") and code.size == 2
     suite = entropy_suite(_fair_coin())
@@ -127,8 +117,6 @@ def test_records_are_tuples():
 
 
 def test_replace_keeps_the_class_and_its_properties():
-    space = GenericSpace(2, (1, 1))._replace(dimension=3, counts=[2, 1])
-    assert type(space) is GenericSpace and space.counts == (2, 1) and space.size == 2
     code = PrefixCode(("0", "1"))._replace(codewords=("1", "0"))
     assert type(code) is PrefixCode and code.lengths() == (1, 1)
 
@@ -136,11 +124,6 @@ def test_replace_keeps_the_class_and_its_properties():
 @pytest.mark.parametrize(
     "make, error, match",
     [
-        (lambda: GenericSpace(2, (1, 1))._replace(counts=(5,)), ValueError, "sum to 5"),
-        (lambda: GenericSpace(2, (1, 1))._replace(dimension=2.0), TypeError, "must be ints"),
-        (lambda: GenericSpace._make((2, (1,))), ValueError, "sum to 1"),
-        (lambda: GenericSpace._make((0, ())), ValueError, "dimension must be >= 1"),
-        (lambda: GenericSpace._make((2,)), TypeError, "counts"),
         (lambda: PrefixCode(("0", "1"))._replace(codewords=("0", "0")),
          ValueError, "not prefix-free"),
         (lambda: PrefixCode._make(((),)), ValueError, "at least one codeword"),
